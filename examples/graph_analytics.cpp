@@ -30,9 +30,9 @@ main(int argc, char** argv)
         sl::RunConfig cfg;
         cfg.traceScale = scale;
         const auto base = sl::runWorkload(cfg, spec.name);
-        cfg.l2 = sl::L2Pf::Triangel;
+        cfg.l2 = "triangel";
         const auto tg = sl::runWorkload(cfg, spec.name);
-        cfg.l2 = sl::L2Pf::Streamline;
+        cfg.l2 = "streamline";
         const auto sl_run = sl::runWorkload(cfg, spec.name);
 
         tg_speed.push_back(tg.cores[0].ipc / base.cores[0].ipc);

@@ -10,8 +10,8 @@
 #   scripts/check.sh resilience # hang-timeout kill + manifest resume
 #   scripts/check.sh multicore  # 2-core ASan smoke + single-core digest gate
 #   scripts/check.sh tracecache # persistent trace cache: cold/warm/corruption
-#   scripts/check.sh fastwake   # fast-wake mode: equivalence + speedup gate
 #   scripts/check.sh sampling   # sampled runs: fidelity + speedup + resume
+#   scripts/check.sh hermetic   # ctest -j --schedule-random, 10 cold runs
 set -euo pipefail
 
 cd "$(dirname "$0")/.."
@@ -84,7 +84,6 @@ configs = {n["config"]: n for n in doc["notes"]
 cells = [n for n in doc["notes"] if n["kind"] == "simspeed_cell"]
 mc = [n for n in doc["notes"] if n["kind"] == "simspeed_multicore"]
 tele = [n for n in doc["notes"] if n["kind"] == "simspeed_telemetry"]
-fw = [n for n in doc["notes"] if n["kind"] == "simspeed_fastwake"]
 assert configs, "no simspeed_config notes in bench output"
 assert cells, "no simspeed_cell notes in bench output"
 assert tele, "no simspeed_telemetry note in bench output"
@@ -118,18 +117,6 @@ snap["current"] = {
         "off_kcycles_per_sec": tele[0]["off_kcycles_per_sec"],
         "on_kcycles_per_sec": tele[0]["on_kcycles_per_sec"],
         "enabled_overhead_pct": tele[0]["enabled_overhead_pct"],
-    },
-    # Fast-wake cells (DESIGN.md §14): kcycles/s under SchedMode::FastWake
-    # plus the back-to-back speedup ratio over default mode. The fastwake
-    # stage gates the gap_bfs ratios at the acceptance scale; here they
-    # are recorded for the trajectory at this stage's (smaller) scale.
-    "fastwake": {
-        f"{n['config']}/{n['workload']}": {
-            "kcycles_per_sec": n["fastwake_kcycles_per_sec"],
-            "kcycles_per_sec_median": n["fastwake_kcycles_per_sec_median"],
-            "speedup_ratio": n["speedup_ratio"],
-            "speedup_ratio_median": n["speedup_ratio_median"],
-        } for n in fw
     },
 }
 FLOOR = float(os.environ.get("SL_SIMSPEED_FLOOR", "0.75"))
@@ -315,62 +302,6 @@ print(f"telemetry ok: {len(rows)} intervals, {len(trace)} trace events")
 EOF
 }
 
-# Fast-wake stage (DESIGN.md §14): the opt-in scheduling mode that
-# virtualizes retry polls into wakeup lists and cache-to-cache event
-# hops into direct calls. Four gates: (a) the mode-equivalence harness
-# and fast-wake golden digests (gtest: identical retired counts, IPC
-# within the documented 15% tolerance, pinned full-run stat digests,
-# cross-mode snapshot rejection), (b) a fast-wake snapshot round trip
-# is part of the same filter, (c) an ASan+UBSan fast-wake run of the
-# retry-storm workload, and (d) the measured speedup: bench_simspeed's
-# fast-wake matrix at SL_FASTWAKE_SCALE (default 0.25, the acceptance
-# scale) must show every gap_bfs cell's median ratio above
-# SL_FASTWAKE_FLOOR (default 1.8; 0 disables, e.g. under emulation or
-# on heavily contended hardware).
-fastwake() {
-    local dir="$1" sandir="$2"
-    echo "== fastwake: equivalence + digests + ASan smoke + speed gate =="
-    cmake --build "${dir}" --target sl_tests bench_simspeed -j
-    "${dir}/tests/sl_tests" --gtest_brief=1 --gtest_filter='FastWake*'
-    echo "fast-wake equivalence harness and golden digests green"
-
-    cmake --build "${sandir}" --target sl_run -j
-    "${sandir}/src/sim/sl_run" --l2 streamline --scale 0.05 --fast-wake \
-        gap_bfs > "${sandir}/fastwake_smoke.out"
-    grep -q 'gap_bfs ipc=' "${sandir}/fastwake_smoke.out"
-    echo "fast-wake ASan gap_bfs smoke green"
-
-    local out="${dir}/bench_fastwake.out"
-    SL_BENCH_SCALE="${SL_FASTWAKE_SCALE:-0.25}" SL_JOBS=1 \
-        SL_SIMSPEED_FASTWAKE_ONLY=1 \
-        "${dir}/bench/bench_simspeed" > "${out}"
-    SL_FASTWAKE_FLOOR="${SL_FASTWAKE_FLOOR:-1.8}" \
-        python3 - "${out}" <<'EOF'
-import json, os, sys
-text = open(sys.argv[1]).read()
-body = text.split("==JSON==")[1].split("==END-JSON==")[0]
-fw = [n for n in json.loads(body)["notes"]
-      if n["kind"] == "simspeed_fastwake"]
-assert fw, "no simspeed_fastwake notes in bench output"
-FLOOR = float(os.environ.get("SL_FASTWAKE_FLOOR", "1.8"))
-failures = []
-for n in fw:
-    tag = f"{n['config']}/{n['workload']}"
-    print(f"  {tag}: {n['speedup_ratio_median']:.2f}x median "
-          f"({n['speedup_ratio']:.2f}x best-of)")
-    if n["workload"] == "gap_bfs" and FLOOR > 0 \
-            and n["speedup_ratio_median"] < FLOOR:
-        failures.append(f"{tag}: {n['speedup_ratio_median']:.2f}x median "
-                        f"< {FLOOR:.2f}x floor")
-if failures:
-    print("FAIL: fast-wake speedup below SL_FASTWAKE_FLOOR:")
-    for f in failures:
-        print("  " + f)
-    sys.exit(1)
-print("fast-wake speed gate green")
-EOF
-}
-
 # Sampling stage (DESIGN.md §15): the sampled + checkpointed runner.
 # Three gates: (a) the sampling unit tests (reassembly fixtures,
 # profile/k-means determinism, checkpoint reuse, and the kill + resume
@@ -448,23 +379,47 @@ EOF
 
 # Multicore stage: the shared memory system (per-channel DRAM scheduler,
 # LLC arbiter with MSHR quotas, MemPressure prefetch demotion) only
-# exists when cores > 1 and must be inert otherwise. Two assertions:
-# a 2-core mix under ASan+UBSan shakes memory errors out of the new
-# queue/arbiter/pressure paths, and the golden-digest oracle proves the
-# single-core stat digests stayed bit-identical through the refactor.
+# exists when cores > 1 and must be inert otherwise. Three assertions:
+# a 2-core mix under ASan+UBSan shakes memory errors out of the
+# queue/arbiter/pressure paths, a single-core gap_bfs run under the same
+# sanitizers drives the wakeup lists through an MSHR storm (DESIGN.md
+# §14), and the golden-digest oracle plus the scheduler audit and
+# mid-storm snapshot tests prove the single-core schedule is unchanged.
 multicore() {
     local dir="$1" sandir="$2"
-    echo "== multicore: 2-core ASan smoke + 1-core digest gate =="
+    echo "== multicore: 2-core ASan smoke + storm smoke + digest gate =="
     cmake --build "${sandir}" --target sl_run -j
     "${sandir}/src/sim/sl_run" --l2 streamline --scale 0.05 \
         --mix spec06_mcf,gap_bfs > "${sandir}/multicore_smoke.out"
     grep -q 'core 0: spec06_mcf ipc=' "${sandir}/multicore_smoke.out"
     grep -q 'core 1: gap_bfs ipc=' "${sandir}/multicore_smoke.out"
     echo "2-core ASan smoke mix green"
+    "${sandir}/src/sim/sl_run" --l2 streamline --scale 0.05 gap_bfs \
+        > "${sandir}/storm_smoke.out"
+    grep -q 'gap_bfs ipc=' "${sandir}/storm_smoke.out"
+    echo "ASan gap_bfs MSHR-storm smoke green"
     cmake --build "${dir}" --target sl_tests -j
     "${dir}/tests/sl_tests" --gtest_brief=1 \
-        --gtest_filter='MetadataFastPathDeterminism.MatchesPreRefactorGoldenStats'
+        --gtest_filter='MetadataFastPathDeterminism.MatchesPreRefactorGoldenStats:Scheduler*'
     echo "single-core digests bit-identical to the golden oracle"
+}
+
+# Hermetic stage: every test case runs as its own ctest process, so a
+# file shared between cases is a race that cost-ordered scheduling only
+# hides. Deleting the cost data and shuffling the order ten times makes
+# "no two cases share state" a gated property (no retries, no
+# RUN_SERIAL).
+hermetic() {
+    local dir="$1"
+    echo "== hermetic: 10 x ctest -j --schedule-random (${dir}) =="
+    cmake --build "${dir}" --target sl_tests -j
+    for i in $(seq 1 10); do
+        rm -f "${dir}/Testing/Temporary/CTestCostData.txt"
+        ctest --test-dir "${dir}" --output-on-failure -j "$(nproc)" \
+            --schedule-random > "${dir}/hermetic.out" ||
+            { cat "${dir}/hermetic.out"; echo "FAIL: run ${i}"; exit 1; }
+        echo "run ${i}: $(grep 'tests passed' "${dir}/hermetic.out")"
+    done
 }
 
 case "${MODE}" in
@@ -479,11 +434,7 @@ case "${MODE}" in
     multicore build build-asan
     ;;
   tracecache) cmake -B build -S .; tracecache build ;;
-  fastwake)
-    cmake -B build -S .
-    cmake -B build-asan -S . -DSL_SANITIZE=ON
-    fastwake build build-asan
-    ;;
+  hermetic) cmake -B build -S .; hermetic build ;;
   sampling)
     cmake -B build -S .
     cmake -B build-asan -S . -DSL_SANITIZE=ON
@@ -497,11 +448,11 @@ case "${MODE}" in
     tracecache build
     run_mode asan+ubsan build-asan -DSL_SANITIZE=ON
     multicore build build-asan
-    fastwake build build-asan
     sampling build build-asan
+    hermetic build
     simspeed build
     ;;
-  *) echo "usage: $0 [plain|sanitize|simspeed|telemetry|resilience|multicore|tracecache|fastwake|sampling|all]" >&2
+  *) echo "usage: $0 [plain|sanitize|simspeed|telemetry|resilience|multicore|tracecache|sampling|hermetic|all]" >&2
      exit 2 ;;
 esac
 

@@ -55,20 +55,10 @@ struct MemRequest
     RequestClient* client = nullptr; //!< completion target (may be null)
     std::uint64_t tag = 0;           //!< client-private identifier
     bool retried = false;            //!< re-presented after an MSHR stall
-    /** Client accepts its completion callback inline from Cache::respond
-     *  (no Respond event). Only the Core load path sets this: its
-     *  requestDone just records the data-ready cycle, so delivery order
-     *  within a cycle cannot matter. */
-    bool directRespond = false;
     /** The structural stall that parked this request was an MSHR quota
-     *  stall (arbitrated LLC), not a table-full stall; replayed per poll
-     *  by the retry fast path. */
+     *  stall (arbitrated LLC), not a table-full stall: it waits on its
+     *  core's quota lane rather than the table-free list. */
     bool parkQuotaStall = false;
-    /** Owning cache's blocking-state generation when this request parked
-     *  on an MSHR structural stall. While the cache's generation is
-     *  unchanged, a re-presentation would deterministically re-park, so
-     *  retryNow() replays the stall without the tag probe / MSHR walk. */
-    std::uint64_t parkGen = 0;
     /** Cache level that originated a prefetch (for usefulness stats:
      *  only the originating level counts issued/useful/redundant). */
     const void* origin = nullptr;

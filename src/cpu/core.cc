@@ -157,7 +157,6 @@ Core::tryDispatch(Cycle now)
         if (rec.type == AccessType::Load) {
             req->kind = ReqKind::DemandLoad;
             req->client = this;
-            req->directRespond = true;
             req->tag = (static_cast<std::uint64_t>(slot) << 32) | e.slotGen;
             e.doneAt = kNoCycle;
             lastLoadSlot_ = slot;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <filesystem>
-#include <fstream>
 #include <iomanip>
 #include <sstream>
 
@@ -26,12 +25,6 @@ fnv64(const std::string& s)
         h *= 1099511628211ull;
     }
     return h;
-}
-
-bool
-fileExists(const std::string& path)
-{
-    return std::ifstream(path, std::ios::binary).good();
 }
 
 } // namespace
@@ -65,12 +58,15 @@ generateCheckpoints(const RunConfig& cfg, const std::string& workload,
     if (boundaries.empty())
         return 0;
 
-    // Warm path: every boundary already on disk skips the whole pass.
-    // readSnapshotFile's digest check still guards against stale files.
+    // Warm path: every boundary already on disk in this build's snapshot
+    // format skips the whole pass. File names depend on the config
+    // digest only, so a file from a build with another format version is
+    // regenerated rather than failing the restore; readSnapshotFile's
+    // digest check still guards against files from another config.
     const bool all_present =
         std::all_of(boundaries.begin(), boundaries.end(),
                     [&](std::size_t b) {
-                        return fileExists(
+                        return snapshotFileIsCurrent(
                             checkpointPath(dir, cfg, workload, b));
                     });
     if (all_present)

@@ -5,7 +5,7 @@
  * One single pass per (config, workload): the trace is walked through
  * the cache hierarchy in functional mode (tags/LRU/dirty updates and
  * prefetcher training, no timing events — see Cache::setFunctionalMode)
- * and a v4 snapshot is written at each requested record boundary. The
+ * and a snapshot is written at each requested record boundary. The
  * snapshots reuse the exact save/restore machinery detailed runs use
  * (snapshot.hh), so a sampled interval restores through the same
  * CRC-and-digest-guarded path as any resumed run.
@@ -38,7 +38,9 @@ std::string checkpointPath(const std::string& dir, const RunConfig& cfg,
  * Ensure a snapshot exists at every record boundary in @p records
  * (single-core @p cfg only). Boundaries already on disk are reused
  * verbatim — the whole functional pass is skipped when every file
- * exists. Returns the number of checkpoints actually generated.
+ * exists in the current snapshot format (a file left by a build with
+ * another kSnapshotVersion is regenerated). Returns the number of
+ * checkpoints actually generated.
  */
 std::size_t generateCheckpoints(const RunConfig& cfg,
                                 const std::string& workload,

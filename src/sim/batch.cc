@@ -285,19 +285,12 @@ std::string
 toJson(const RunConfig& cfg)
 {
     std::ostringstream os;
-    os << "{\"l1\":\"" << jsonEscape(cfg.l1Name()) << "\""
-       << ",\"l2\":\"" << jsonEscape(cfg.l2Name()) << "\""
+    os << "{\"l1\":\"" << jsonEscape(cfg.l1) << "\""
+       << ",\"l2\":\"" << jsonEscape(cfg.l2) << "\""
        << ",\"cores\":" << cfg.cores
        << ",\"dram_mts\":" << cfg.dramMTs
        << ",\"trace_scale\":" << jsonNumber(cfg.traceScale)
-       << ",\"seed\":" << cfg.seed;
-    // Emitted only in fast-wake mode so default-mode manifests and
-    // snapshot digests stay byte-identical to pre-fast-wake builds. The
-    // fragment is what makes the mode part of the snapshot config digest
-    // (snapshot.cc keys its mode-mismatch diagnostic on it).
-    if (cfg.fastWake)
-        os << ",\"sched_mode\":\"fast_wake\"";
-    os << "}";
+       << ",\"seed\":" << cfg.seed << "}";
     return os.str();
 }
 

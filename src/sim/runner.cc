@@ -22,29 +22,6 @@
 namespace sl
 {
 
-const char*
-l1PfName(L1Pf p)
-{
-    static constexpr const char* names[] = {"none", "stride", "berti"};
-    const auto i = static_cast<std::size_t>(p);
-    SL_REQUIRE(i < std::size(names), "run_config",
-               "L1Pf value " << i << " has no registry name");
-    return names[i];
-}
-
-const char*
-l2PfName(L2Pf p)
-{
-    static constexpr const char* names[] = {
-        "none",      "streamline",   "triangel",
-        "triangel_ideal", "triage",  "triage_ideal",
-        "ipcp",      "bingo",        "spp_ppf"};
-    const auto i = static_cast<std::size_t>(p);
-    SL_REQUIRE(i < std::size(names), "run_config",
-               "L2Pf value " << i << " has no registry name");
-    return names[i];
-}
-
 namespace
 {
 
@@ -104,14 +81,11 @@ systemConfigFor(const RunConfig& cfg)
     SystemConfig sc;
     sc.cores = cfg.cores;
     sc.dramMTs = cfg.dramMTs;
-    sc.l1dPrefetcher = reg.make(cfg.l1Name(), PrefetcherRegistry::L1,
-                                tuning);
-    sc.l2Prefetcher = reg.make(cfg.l2Name(), PrefetcherRegistry::L2,
-                               tuning);
+    sc.l1dPrefetcher = reg.make(cfg.l1, PrefetcherRegistry::L1, tuning);
+    sc.l2Prefetcher = reg.make(cfg.l2, PrefetcherRegistry::L2, tuning);
     sc.faults = cfg.faults;
     sc.hardening = cfg.hardening;
     sc.telemetry = cfg.telemetry;
-    sc.sched = cfg.fastWake ? SchedMode::FastWake : SchedMode::Default;
     return sc;
 }
 
@@ -129,8 +103,8 @@ RunConfig::validate() const
     hardening.validate();
     telemetry.validate();
     PrefetcherRegistry& reg = prefetcherRegistry();
-    reg.require(l1Name(), PrefetcherRegistry::L1);
-    reg.require(l2Name(), PrefetcherRegistry::L2);
+    reg.require(l1, PrefetcherRegistry::L1);
+    reg.require(l2, PrefetcherRegistry::L2);
 }
 
 std::string
@@ -151,10 +125,8 @@ formatReproBundle(const RunConfig& cfg,
     os << "trace_scale = " << cfg.traceScale << " (resolved "
        << (cfg.traceScale > 0 ? cfg.traceScale : defaultTraceScale())
        << ")\n";
-    os << "l1_prefetcher = " << cfg.l1Name() << "\n";
-    os << "l2_prefetcher = " << cfg.l2Name() << "\n";
-    if (cfg.fastWake)
-        os << "sched_mode = fast_wake\n";
+    os << "l1_prefetcher = " << cfg.l1 << "\n";
+    os << "l2_prefetcher = " << cfg.l2 << "\n";
     os << "dram_mts = " << cfg.dramMTs << "\n";
     os << "fault.seed = " << cfg.faults.seed << "\n";
     os << "fault.metadata_bit_flip_rate = "
@@ -392,7 +364,7 @@ irregularSubset(double scale)
     RunConfig base;
     base.traceScale = scale;
     RunConfig ideal = base;
-    ideal.l2 = L2Pf::TriageIdeal;
+    ideal.l2 = "triage_ideal";
 
     std::vector<ExperimentSpec> specs;
     for (const auto& w : names) {
@@ -443,11 +415,6 @@ printUsage(std::ostream& os)
           "$SL_TRACE_SCALE or 1.0)\n"
           "  --seed N                trace synthesis seed (default 1)\n"
           "  --dram-mts N            DRAM transfer rate (default 3200)\n"
-          "  --fast-wake             event-driven wakeups instead of "
-          "retry polls\n"
-          "                          (faster; digests differ from default "
-          "mode -- see\n"
-          "                          DESIGN.md §14; also SL_FAST_WAKE=1)\n"
           "  --telemetry             enable interval sampling and "
           "histograms\n"
           "  --telemetry-interval N  cycles per interval (default "
@@ -701,12 +668,6 @@ runnerMain(int argc, char** argv)
     bool sample_report = false;
     SampleOptions sample_opts;
 
-    // SL_FAST_WAKE=1 opts whole invocations into fast-wake scheduling
-    // without touching their command lines (bench sweeps, CI stages);
-    // --fast-wake does the same per invocation.
-    if (const char* e = std::getenv("SL_FAST_WAKE"); e && e[0] == '1')
-        cfg.fastWake = true;
-
     // Flags taking a value read it from the next argv slot.
     auto value = [&](int& i, const char* flag) -> const char* {
         if (i + 1 >= argc) {
@@ -729,11 +690,11 @@ runnerMain(int argc, char** argv)
         } else if (arg == "--l1") {
             if (!(v = value(i, "--l1")))
                 return 2;
-            cfg.l1 = PfSel(v);
+            cfg.l1 = v;
         } else if (arg == "--l2") {
             if (!(v = value(i, "--l2")))
                 return 2;
-            cfg.l2 = PfSel(v);
+            cfg.l2 = v;
         } else if (arg == "--cores") {
             if (!(v = value(i, "--cores")))
                 return 2;
@@ -769,8 +730,6 @@ runnerMain(int argc, char** argv)
                 return 2;
             cfg.dramMTs =
                 static_cast<unsigned>(std::strtoul(v, nullptr, 10));
-        } else if (arg == "--fast-wake") {
-            cfg.fastWake = true;
         } else if (arg == "--telemetry") {
             telemetry = true;
         } else if (arg == "--telemetry-interval") {
@@ -869,8 +828,8 @@ runnerMain(int argc, char** argv)
     // Friendly up-front name checks: print the registered names instead
     // of an exception trace (getTrace throws std::invalid_argument for
     // unknown workloads, which would otherwise escape main).
-    if (!checkPrefetcher(cfg.l1Name(), PrefetcherRegistry::L1, "--l1") ||
-        !checkPrefetcher(cfg.l2Name(), PrefetcherRegistry::L2, "--l2"))
+    if (!checkPrefetcher(cfg.l1, PrefetcherRegistry::L1, "--l1") ||
+        !checkPrefetcher(cfg.l2, PrefetcherRegistry::L2, "--l2"))
         return 2;
     const std::vector<std::string> known = workloadNames();
     for (const auto& w : workloads) {

@@ -36,9 +36,9 @@ namespace sl
 class System;
 
 /** On-disk snapshot format version; bump on any payload layout change.
- *  v4: per-cache fast-wake wakeup-list sections (empty in default mode)
- *  and the scheduling mode folded into the config digest. */
-constexpr std::uint32_t kSnapshotVersion = 4;
+ *  v5: per-cache wakeup-list sections; no poll generation in requests
+ *  or caches. */
+constexpr std::uint32_t kSnapshotVersion = 5;
 
 /**
  * Serialize the full dynamic state of @p sys, paused between cycles at
@@ -65,6 +65,14 @@ Cycle restoreSystemState(System& sys, const std::uint8_t* payload,
 void writeSnapshotFile(const std::string& path,
                        const std::string& configDigest, System& sys,
                        Cycle now);
+
+/**
+ * True when @p path holds a snapshot this build can read: the file
+ * opens, carries the snapshot magic, and its format version is
+ * kSnapshotVersion. Reads the header only; CRC and config digest are
+ * checked on restore.
+ */
+bool snapshotFileIsCurrent(const std::string& path);
 
 /**
  * Read, verify, and restore a snapshot file into @p sys. @p configDigest

@@ -7,7 +7,6 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <sstream>
@@ -313,16 +312,33 @@ TEST(Auditor, CatchesLostMissRequest)
     }
 }
 
+/** Self-rescheduling event: keeps the calendar non-empty forever while
+ *  doing no useful work -- the shape of any livelock. */
+struct Heartbeat
+{
+    EventQueue* eq;
+
+    void
+    operator()(Cycle now) const
+    {
+        eq->schedule(now + 1'000, *this);
+    }
+};
+
 TEST(Watchdog, TripsOnLiveLockedSystemWithSnapshot)
 {
-    // With the auditor off, the same livelock keeps the event queue busy
-    // (so the deadlock check can't fire) while nothing retires. Only the
-    // watchdog can convert this hang into a diagnosis.
+    // Every miss request is lost, so nothing retires. Parked requests
+    // wait for fills that never come and schedule nothing, so on its own
+    // the calendar would drain and the deadlock check would fire; the
+    // heartbeat keeps it busy instead, as a livelocked component would.
+    // With the auditor off, only the watchdog can convert this hang into
+    // a diagnosis.
     SystemConfig cfg;
     cfg.faults.loseRequestRate = 1.0;
     cfg.hardening.auditInterval = 0; // isolate the watchdog
     cfg.hardening.watchdogWindow = 50'000;
     System sys(cfg, {distinctBlockTrace()});
+    sys.eventQueue().schedule(1'000, Heartbeat{&sys.eventQueue()});
     try {
         sys.run();
         FAIL() << "watchdog did not trip";
@@ -358,13 +374,13 @@ TEST(FaultInjection, TemporalPrefetchersSurviveFaultsGracefully)
     // only degrade coverage/IPC.
     clearTraceCache();
     for (const char* workload : {"gap_bfs", "spec06_mcf"}) {
-        for (L2Pf pf : {L2Pf::Streamline, L2Pf::Triangel, L2Pf::Triage}) {
+        for (const char* pf : {"streamline", "triangel", "triage"}) {
             RunConfig cfg;
             cfg.traceScale = kTinyScale;
             cfg.l2 = pf;
             cfg.faults = gracefulFaults();
             const RunResult r = runWorkload(cfg, workload);
-            SCOPED_TRACE(std::string(workload) + "/" + l2PfName(pf));
+            SCOPED_TRACE(std::string(workload) + "/" + pf);
             ASSERT_EQ(r.cores.size(), 1u);
             EXPECT_GT(r.cores[0].ipc, 0.0);
             EXPECT_GE(r.cores[0].coverage(), 0.0);
@@ -403,7 +419,7 @@ TEST(FaultInjection, FaultsDegradeButDoNotBreakStreamline)
     clearTraceCache();
     RunConfig clean;
     clean.traceScale = kTinyScale;
-    clean.l2 = L2Pf::Streamline;
+    clean.l2 = "streamline";
     const RunResult base = runWorkload(clean, "gap_bfs");
 
     RunConfig faulty = clean;
@@ -421,7 +437,7 @@ TEST(FaultInjection, FaultyRunsReplayDeterministically)
     clearTraceCache();
     RunConfig cfg;
     cfg.traceScale = kTinyScale;
-    cfg.l2 = L2Pf::Triangel;
+    cfg.l2 = "triangel";
     cfg.faults = gracefulFaults();
     const RunResult a = runWorkload(cfg, "spec06_mcf");
     clearTraceCache();
@@ -437,7 +453,7 @@ TEST(ReproBundle, FormatContainsEverythingNeededToReplay)
 {
     RunConfig cfg;
     cfg.seed = 77;
-    cfg.l2 = L2Pf::Streamline;
+    cfg.l2 = "streamline";
     cfg.faults.loseRequestRate = 1.0;
     const SimError err("progress_watchdog", 123456, "stuck",
                        "[progress_watchdog @123456] stuck");
@@ -454,9 +470,9 @@ TEST(ReproBundle, FormatContainsEverythingNeededToReplay)
 TEST(ReproBundle, WrittenWhenARunTrips)
 {
     clearTraceCache();
-    const std::string path = "test_repro_bundle.txt";
+    const test::ScratchDir dir;
+    const std::string path = dir.file("repro_bundle.txt");
     ::setenv("SL_REPRO_PATH", path.c_str(), 1);
-    std::remove(path.c_str());
 
     RunConfig cfg;
     cfg.traceScale = kTinyScale;
@@ -475,7 +491,6 @@ TEST(ReproBundle, WrittenWhenARunTrips)
     EXPECT_NE(bundle.find("fault.lose_request_rate = 1"),
               std::string::npos);
     ::unsetenv("SL_REPRO_PATH");
-    std::remove(path.c_str());
 }
 
 } // namespace

@@ -3,9 +3,8 @@
  * Hot-path infrastructure tests: the request arena (ObjectPool), the
  * open-addressed MshrTable, and end-to-end determinism of pooled runs.
  *
- * The determinism golden values were captured from the pre-pool build
- * (runner API, streamline L2, scale 0.05, seed 1); asserting them here
- * pins the pooled/flat-MSHR hot path to bit-identical simulation
+ * The determinism golden values (runner API, streamline L2, scale 0.05,
+ * seed 1) pin the pooled/flat-MSHR hot path to bit-identical simulation
  * results.
  */
 
@@ -357,13 +356,13 @@ struct Golden
     std::uint64_t l2Miss, l2Useful, l2Issued;
 };
 
-// Captured from the pre-overhaul build (same runner API, streamline L2,
-// stride L1, traceScale 0.05, seed 1).
+// Streamline L2, stride L1, traceScale 0.05, seed 1: the streamline rows
+// of the golden table in test_metadata_fastpath.cc.
 constexpr Golden kGolden[] = {
-    {"spec06_mcf", 0x3fd4cffd02f97434ULL, 40633, 2600512, 15156, 6962,
-     26899, 15610, 15762},
-    {"gap_bfs", 0x4017fffe413df1bbULL, 790, 50560, 1795, 961, 2460, 2859,
-     2866},
+    {"spec06_mcf", 0x3fd5178d31158a45ULL, 40633, 2600512, 15157, 6962,
+     27038, 15596, 15750},
+    {"gap_bfs", 0x40156e15ccf6a3c3ULL, 790, 50560, 1698, 1040, 3027, 2430,
+     2439},
 };
 
 RunResult
@@ -372,7 +371,7 @@ goldenRun(const char* workload)
     clearTraceCache();
     RunConfig cfg;
     cfg.traceScale = 0.05;
-    cfg.l2 = L2Pf::Streamline;
+    cfg.l2 = "streamline";
     return runWorkload(cfg, workload);
 }
 

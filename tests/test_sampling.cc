@@ -25,6 +25,8 @@
 #include "sample/reassemble.hh"
 #include "sample/sampled.hh"
 #include "sim/runner.hh"
+#include "sim/snapshot.hh"
+#include "test_util.hh"
 #include "trace/workloads.hh"
 
 namespace sl
@@ -40,22 +42,6 @@ smallConfig(const char* l2 = "streamline")
     cfg.traceScale = 0.05;
     return cfg;
 }
-
-/** A scratch directory wiped on construction and destruction. */
-class ScratchDir
-{
-  public:
-    explicit ScratchDir(const std::string& name) : dir_(name)
-    {
-        std::filesystem::remove_all(dir_);
-        std::filesystem::create_directories(dir_);
-    }
-    ~ScratchDir() { std::filesystem::remove_all(dir_); }
-    const std::string& path() const { return dir_; }
-
-  private:
-    std::string dir_;
-};
 
 std::size_t
 countOccurrences(const std::string& hay, const std::string& needle)
@@ -227,7 +213,7 @@ TEST(SamplingReport, HonorsBudgetAndNormalizesWeights)
 
 TEST(SamplingCheckpoint, SecondGenerationReusesFiles)
 {
-    ScratchDir dir("sl_test_sampling_ckpt_reuse");
+    test::ScratchDir dir;
     RunConfig cfg = smallConfig();
     const TracePtr trace = getTrace("spec06_mcf", cfg.traceScale,
                                     cfg.seed);
@@ -247,9 +233,43 @@ TEST(SamplingCheckpoint, SecondGenerationReusesFiles)
               0u);
 }
 
+TEST(SamplingCheckpoint, StaleFormatVersionIsRegenerated)
+{
+    // A checkpoint directory kept across builds: the file names depend
+    // on the config digest only, so a build with a new snapshot format
+    // finds the old files under the same names. They must be
+    // regenerated, not reused and then rejected on restore.
+    test::ScratchDir dir;
+    RunConfig cfg = smallConfig();
+    const TracePtr trace = getTrace("spec06_mcf", cfg.traceScale,
+                                    cfg.seed);
+    const std::vector<std::size_t> records{trace->records.size() / 2};
+    ASSERT_EQ(generateCheckpoints(cfg, "spec06_mcf", records, dir.path()),
+              1u);
+
+    // Rewrite the header's format version (the u32 after the 8-byte
+    // magic) to the previous one.
+    const std::string path =
+        checkpointPath(dir.path(), cfg, "spec06_mcf", records[0]);
+    {
+        std::fstream f(path,
+                       std::ios::in | std::ios::out | std::ios::binary);
+        const std::uint32_t old = kSnapshotVersion - 1;
+        f.seekp(8);
+        f.write(reinterpret_cast<const char*>(&old), sizeof(old));
+    }
+
+    EXPECT_EQ(generateCheckpoints(cfg, "spec06_mcf", records, dir.path()),
+              1u);
+    RunHooks restore;
+    restore.restorePath = path;
+    EXPECT_GT(runWorkloadsRaw(cfg, {"spec06_mcf"}, restore).cores[0].ipc,
+              0.0);
+}
+
 TEST(SamplingRun, DeterministicAcrossThreadCounts)
 {
-    ScratchDir dir("sl_test_sampling_threads");
+    test::ScratchDir dir;
     RunConfig cfg = smallConfig();
     SampleOptions opts;
     opts.intervals = 12;
@@ -269,7 +289,7 @@ TEST(SamplingRun, DeterministicAcrossThreadCounts)
 
 TEST(SamplingRun, ResumedSweepIsByteIdentical)
 {
-    ScratchDir dir("sl_test_sampling_resume");
+    test::ScratchDir dir;
     const std::string manifest = dir.path() + "/sweep.jsonl";
     RunConfig cfg = smallConfig("triangel");
     SampleOptions opts;
@@ -311,7 +331,7 @@ TEST(SamplingRun, TracksFullDetailedRunLoosely)
     // The ±3% fidelity gate lives in check.sh at paper scale; at the
     // tiny test scale just require the estimate to be in the right
     // neighborhood so gross estimator regressions fail fast.
-    ScratchDir dir("sl_test_sampling_fidelity");
+    test::ScratchDir dir;
     RunConfig cfg = smallConfig();
     SampleOptions opts;
     opts.intervals = 12;

@@ -6,15 +6,14 @@
  * skip/rerun semantics, JSON splicing), and per-job wall-clock timeouts
  * with hang snapshots.
  *
- * File-based tests write under the current working directory with
- * test-unique names so parallel ctest shards never collide, and remove
- * their droppings on the way out.
+ * File-based tests write into a per-test test::ScratchDir, so parallel
+ * ctest processes never collide, and the directory goes away with the
+ * test.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -24,6 +23,7 @@
 #include "sim/batch.hh"
 #include "sim/runner.hh"
 #include "sim/snapshot.hh"
+#include "test_util.hh"
 
 namespace sl
 {
@@ -195,7 +195,8 @@ spit(const std::string& path, const std::vector<char>& bytes)
 
 TEST(SnapshotFile, SaveRestoreRoundTripIsBitIdentical)
 {
-    const std::string path = "sl_test_snapshot_roundtrip.bin";
+    const test::ScratchDir dir;
+    const std::string path = dir.file("roundtrip.bin");
     const RunConfig cfg = smallConfig();
     const std::vector<std::string> w{"spec06_mcf"};
 
@@ -212,7 +213,6 @@ TEST(SnapshotFile, SaveRestoreRoundTripIsBitIdentical)
     restore.restorePath = path;
     const RunResult resumed = runWorkloadsRaw(cfg, w, restore);
     expectIdenticalResults(plain, resumed);
-    std::remove(path.c_str());
 }
 
 /**
@@ -226,7 +226,8 @@ TEST(SnapshotFile, SaveRestoreRoundTripIsBitIdentical)
  */
 TEST(SnapshotFile, MultiCoreSharedMemoryRoundTrip)
 {
-    const std::string path = "sl_test_snapshot_2core.bin";
+    const test::ScratchDir dir;
+    const std::string path = dir.file("2core.bin");
     RunConfig cfg = smallConfig();
     cfg.cores = 2;
     const std::vector<std::string> w{"spec06_mcf", "gap_bfs"};
@@ -249,13 +250,13 @@ TEST(SnapshotFile, MultiCoreSharedMemoryRoundTrip)
     EXPECT_GT(plain.dramDemandReads + plain.dramPrefetchReads, 0u);
     ASSERT_EQ(plain.dramCoreBytes.size(), 2u);
     EXPECT_GT(plain.dramCoreBytes[0] + plain.dramCoreBytes[1], 0u);
-    std::remove(path.c_str());
 }
 
 TEST(SnapshotFile, MissingFileThrows)
 {
     RunHooks restore;
-    restore.restorePath = "sl_test_snapshot_does_not_exist.bin";
+    const test::ScratchDir dir;
+    restore.restorePath = dir.file("does_not_exist.bin");
     EXPECT_THROW(runWorkloadsRaw(smallConfig(), {"spec06_mcf"}, restore),
                  SimError);
 }
@@ -271,8 +272,6 @@ class SnapshotRejection : public ::testing::Test
         save.snapshotPath = path_;
         runWorkloadsRaw(smallConfig(), {"spec06_mcf"}, save);
     }
-
-    void TearDown() override { std::remove(path_.c_str()); }
 
     /** Restore under the matching config and return the SimError text. */
     std::string
@@ -290,11 +289,8 @@ class SnapshotRejection : public ::testing::Test
         return {};
     }
 
-    std::string path_ = std::string("sl_test_snapshot_reject_") +
-                        ::testing::UnitTest::GetInstance()
-                            ->current_test_info()
-                            ->name() +
-                        ".bin";
+    const test::ScratchDir dir_;
+    const std::string path_ = dir_.file("snapshot.bin");
 };
 
 TEST_F(SnapshotRejection, CorruptedPayloadFailsCrc)
@@ -373,8 +369,8 @@ TEST(SweepManifest, JobDigestIsStableAndDiscriminating)
 
 TEST(SweepManifest, ResumeSkipsFinishedJobsAndReplaysJson)
 {
-    const std::string manifest = "sl_test_sweep_resume.manifest.jsonl";
-    std::remove(manifest.c_str());
+    const test::ScratchDir dir;
+    const std::string manifest = dir.file("sweep.manifest.jsonl");
     BatchOptions opts;
     opts.manifestPath = manifest;
     const std::vector<ExperimentSpec> specs{spec("mcf", "spec06_mcf"),
@@ -395,13 +391,12 @@ TEST(SweepManifest, ResumeSkipsFinishedJobsAndReplaysJson)
         // The spliced JSON is byte-identical to the first run's.
         EXPECT_EQ(toJson(specs[i], second[i]), toJson(specs[i], first[i]));
     }
-    std::remove(manifest.c_str());
 }
 
 TEST(SweepManifest, FailedJobsRerunOnResume)
 {
-    const std::string manifest = "sl_test_sweep_failed.manifest.jsonl";
-    std::remove(manifest.c_str());
+    const test::ScratchDir dir;
+    const std::string manifest = dir.file("sweep.manifest.jsonl");
     BatchOptions opts;
     opts.manifestPath = manifest;
     const std::vector<ExperimentSpec> specs{
@@ -417,12 +412,12 @@ TEST(SweepManifest, FailedJobsRerunOnResume)
     ASSERT_EQ(second.size(), 1u);
     EXPECT_FALSE(second[0].ok);
     EXPECT_GE(second[0].attempts, 1u);
-    std::remove(manifest.c_str());
 }
 
 TEST(SweepManifest, MalformedLinesAreSkippedNotFatal)
 {
-    const std::string manifest = "sl_test_sweep_malformed.manifest.jsonl";
+    const test::ScratchDir dir;
+    const std::string manifest = dir.file("sweep.manifest.jsonl");
     {
         std::ofstream out(manifest, std::ios::trunc);
         out << "this is not json\n";
@@ -434,7 +429,6 @@ TEST(SweepManifest, MalformedLinesAreSkippedNotFatal)
     ASSERT_EQ(rs.size(), 1u);
     EXPECT_TRUE(rs[0].ok);
     EXPECT_GE(rs[0].attempts, 1u); // ran, nothing usable to resume from
-    std::remove(manifest.c_str());
 }
 
 TEST(SweepManifest, RetriesBoundAttempts)
@@ -452,9 +446,10 @@ TEST(SweepManifest, RetriesBoundAttempts)
 
 TEST(JobTimeout, OverBudgetJobFailsAndLeavesResumableSnapshot)
 {
-    const std::string hang = "sl_snapshot_hang_job0.bin";
-    std::remove(hang.c_str());
+    const test::ScratchDir dir;
+    const std::string hang = dir.file("sl_snapshot_hang_job0.bin");
     BatchOptions opts;
+    opts.snapshotDir = dir.path();
     opts.jobTimeoutSec = 0.02; // far below the job's real runtime
     ExperimentSpec s = spec("slow", "spec06_mcf");
     s.config.traceScale = 0.5;
@@ -476,7 +471,6 @@ TEST(JobTimeout, OverBudgetJobFailsAndLeavesResumableSnapshot)
     const RunResult done = runWorkloadsRaw(s.config, s.workloads, restore);
     ASSERT_EQ(done.cores.size(), 1u);
     EXPECT_GT(done.cores[0].ipc, 0.0);
-    std::remove(hang.c_str());
 }
 
 } // namespace

@@ -24,6 +24,7 @@
 #include "sim/runner.hh"
 #include "telemetry/histogram.hh"
 #include "telemetry/telemetry.hh"
+#include "test_util.hh"
 #include "trace/workloads.hh"
 
 namespace sl
@@ -352,7 +353,7 @@ telemetryRunConfig()
 {
     RunConfig cfg;
     cfg.traceScale = 0.05;
-    cfg.l2 = L2Pf::Streamline;
+    cfg.l2 = "streamline";
     cfg.telemetry.enabled = true;
     cfg.telemetry.intervalCycles = 20'000;
     return cfg;
@@ -406,8 +407,8 @@ TEST(TelemetryRun, OutputFilesMatchIntervalCount)
 {
     clearTraceCache();
     RunConfig cfg = telemetryRunConfig();
-    const std::string base =
-        ::testing::TempDir() + "/sl_telemetry_test";
+    const test::ScratchDir dir;
+    const std::string base = dir.file("telemetry");
     cfg.telemetry.jsonlPath = base + ".jsonl";
     cfg.telemetry.tracePath = base + ".trace.json";
     const RunResult r = runWorkload(cfg, "spec06_mcf");
@@ -453,11 +454,11 @@ digestStats(const std::map<std::string, std::uint64_t>& m)
 
 TEST(TelemetryDeterminism, EnablingTelemetryLeavesDigestsBitIdentical)
 {
-    const std::vector<std::pair<L2Pf, const char*>> grid = {
-        {L2Pf::Streamline, "spec06_mcf"},
-        {L2Pf::Streamline, "gap_bfs"},
-        {L2Pf::Triangel, "spec06_mcf"},
-        {L2Pf::Triangel, "gap_bfs"},
+    const std::vector<std::pair<const char*, const char*>> grid = {
+        {"streamline", "spec06_mcf"},
+        {"streamline", "gap_bfs"},
+        {"triangel", "spec06_mcf"},
+        {"triangel", "gap_bfs"},
     };
     for (const auto& [l2, workload] : grid) {
         RunConfig off;
@@ -471,8 +472,7 @@ TEST(TelemetryDeterminism, EnablingTelemetryLeavesDigestsBitIdentical)
         const RunResult a = runWorkload(off, workload);
         clearTraceCache();
         const RunResult b = runWorkload(on, workload);
-        const std::string where =
-            std::string(on.l2Name()) + "/" + workload;
+        const std::string where = on.l2 + "/" + workload;
 
         EXPECT_FALSE(a.telemetry) << where;
         ASSERT_TRUE(b.telemetry) << where;

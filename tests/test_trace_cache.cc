@@ -21,6 +21,7 @@
 #include "sim/runner.hh"
 #include "trace/trace.hh"
 #include "trace/trace_cache.hh"
+#include "test_util.hh"
 #include "trace/workloads.hh"
 
 namespace sl
@@ -31,18 +32,15 @@ namespace
 constexpr double kScale = 0.05;
 constexpr std::uint64_t kSeed = 1;
 
-/** Scratch cache directory, wiped and re-created per fixture. Tests
- *  restore the "" override on teardown so the rest of the suite keeps
- *  running cache-less regardless of the ambient SL_TRACE_CACHE. */
+/** Scratch cache directory private to each test. Tests restore the ""
+ *  override on teardown so the rest of the suite keeps running
+ *  cache-less regardless of the ambient SL_TRACE_CACHE. */
 class TraceCacheTest : public ::testing::Test
 {
   protected:
     void
     SetUp() override
     {
-        dir_ = ::testing::TempDir() + "sl_trace_cache_test";
-        std::filesystem::remove_all(dir_);
-        std::filesystem::create_directories(dir_);
         setTraceCacheDir("");
         clearTraceCache();
     }
@@ -52,10 +50,10 @@ class TraceCacheTest : public ::testing::Test
     {
         setTraceCacheDir("");
         clearTraceCache();
-        std::filesystem::remove_all(dir_);
     }
 
-    std::string dir_;
+    const test::ScratchDir scratch_;
+    const std::string dir_ = scratch_.path();
 };
 
 bool

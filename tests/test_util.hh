@@ -1,14 +1,20 @@
 /**
  * @file
- * Shared helpers for the test suite: synthetic trace construction and a
- * scripted next-level memory for cache tests.
+ * Shared helpers for the test suite: synthetic trace construction, a
+ * scripted next-level memory for cache tests, and per-test scratch
+ * directories.
  */
 
 #ifndef SL_TESTS_TEST_UTIL_HH
 #define SL_TESTS_TEST_UTIL_HH
 
+#include <filesystem>
 #include <memory>
+#include <string>
 #include <vector>
+
+#include <gtest/gtest.h>
+#include <unistd.h>
 
 #include "cache/cache.hh"
 #include "trace/trace.hh"
@@ -106,6 +112,50 @@ drain(EventQueue& eq, Cycle limit = 1'000'000)
     if (eq.empty())
         eq.reset();
 }
+
+/**
+ * A directory private to the running test. ctest runs every test case
+ * as its own process, side by side under -j, so any file a test writes
+ * must live where no other case can delete or truncate it: the name
+ * joins the suite, the test and the process id. Wiped on construction
+ * and removed on destruction.
+ */
+class ScratchDir
+{
+  public:
+    ScratchDir()
+    {
+        const auto* info =
+            ::testing::UnitTest::GetInstance()->current_test_info();
+        std::string name = std::string("sl_") + info->test_suite_name() +
+                           "." + info->name() + "_" +
+                           std::to_string(::getpid());
+        for (char& c : name)
+            if (c == '/')
+                c = '_'; // parameterized test names
+        dir_ = (std::filesystem::path(::testing::TempDir()) / name)
+                   .string();
+        std::filesystem::remove_all(dir_);
+        std::filesystem::create_directories(dir_);
+    }
+    ~ScratchDir()
+    {
+        std::error_code ec;
+        std::filesystem::remove_all(dir_, ec);
+    }
+    ScratchDir(const ScratchDir&) = delete;
+    ScratchDir& operator=(const ScratchDir&) = delete;
+
+    const std::string& path() const { return dir_; }
+    /** @p name inside this directory. */
+    std::string file(const std::string& name) const
+    {
+        return dir_ + "/" + name;
+    }
+
+  private:
+    std::string dir_;
+};
 
 } // namespace test
 } // namespace sl
