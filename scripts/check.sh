@@ -377,12 +377,13 @@ print("sampling fidelity and speed gate green")
 EOF
 }
 
-# Multicore stage: the shared memory system (per-channel DRAM scheduler,
-# LLC arbiter with MSHR quotas, MemPressure prefetch demotion) only
-# exists when cores > 1 and must be inert otherwise. Three assertions:
-# a 2-core mix under ASan+UBSan shakes memory errors out of the
-# queue/arbiter/pressure paths, a single-core gap_bfs run under the same
-# sanitizers drives the wakeup lists through an MSHR storm (DESIGN.md
+# Multicore stage: the shared memory system (LLC arbiter with MSHR
+# quotas, MemPressure prefetch demotion) only exists when cores > 1 and
+# must be inert otherwise; the per-channel DRAM scheduler serves every
+# core count (DESIGN.md §12). Three assertions: a 2-core mix under
+# ASan+UBSan shakes memory errors out of the queue/arbiter/pressure
+# paths, a single-core gap_bfs run under the same sanitizers drives the
+# wakeup lists and the DRAM queues through an MSHR storm (DESIGN.md
 # §14), and the golden-digest oracle plus the scheduler audit and
 # mid-storm snapshot tests prove the single-core schedule is unchanged.
 multicore() {

@@ -442,6 +442,17 @@ Cache::handleAt(MemRequest* req, Cycle start)
 }
 
 void
+Cache::sendWriteback(MemRequest* wb, Cycle now)
+{
+    if (nextCache_) {
+        nextCache_->access(wb, now);
+        return;
+    }
+    eq_.schedule(std::max(now, eq_.now()),
+                 EventCallback::make(EventKind::Forward, reqDesc(this, wb)));
+}
+
+void
 Cache::requestDone(const MemRequest& req, Cycle now)
 {
     Mshr* m = mshrs_.find(req.addr);
@@ -592,7 +603,7 @@ Cache::installFill(Addr addr, bool prefetched, bool origin_here,
             // victim so the DRAM scheduler's per-core accounting and
             // the downstream arbiter see a complete core tag chain.
             wb->coreId = core;
-            next_->access(wb, now);
+            sendWriteback(wb, now);
         }
     }
 
@@ -919,7 +930,7 @@ Cache::reclaimReservedWays(std::uint32_t set, Cycle now)
                 MemRequest* wb = pool_->acquire();
                 wb->addr = row[w].tag << kBlockShift;
                 wb->kind = ReqKind::Writeback;
-                next_->access(wb, now);
+                sendWriteback(wb, now);
             }
         }
         row[w].valid = false;

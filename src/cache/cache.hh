@@ -283,6 +283,11 @@ class Cache : public MemLevel, public RequestClient
     void passOnWake(unsigned lane, Cycle now);
     void installFill(Addr addr, bool prefetched, bool origin_here,
                      bool store, std::int32_t core, Cycle now);
+    /** Send dirty victim @p wb downstream, routed as a miss is: a
+     *  cache below takes it inline, DRAM gets it by Forward event at
+     *  @p now (an inline fill chain can evict ahead of the event clock)
+     *  or at the current cycle if @p now is already past. */
+    void sendWriteback(MemRequest* wb, Cycle now);
     /** Victim scan over the packed tag/LRU side arrays: first invalid
      *  way at or past @p reserved, else the least-LRU way; params_.ways
      *  when the whole set is metadata-reserved. Shared by the detailed

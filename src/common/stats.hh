@@ -140,6 +140,15 @@ class HotCounter
         return *this;
     }
 
+    /** High-water mark: raise the counter to @p v if it is below. */
+    void
+    raiseTo(std::uint64_t v)
+    {
+        Counter& c = resolve();
+        if (v > c.value())
+            c.set(v);
+    }
+
   private:
     Counter&
     resolve()

@@ -43,7 +43,9 @@ DramParams::validate() const
     SL_REQUIRE(tCasNs >= 0 && tRcdNs >= 0 && tRpNs >= 0 &&
                    controllerNs >= 0,
                "dram_params", "timing parameters must be non-negative");
-    SL_REQUIRE(!scheduled() || writeDrainHigh > writeDrainLow,
+    SL_REQUIRE(requestors > 0, "dram_params",
+               "need at least one requestor");
+    SL_REQUIRE(writeDrainHigh > writeDrainLow,
                "dram_params",
                "write-drain watermarks must satisfy high ("
                    << writeDrainHigh << ") > low (" << writeDrainLow
@@ -88,16 +90,14 @@ Dram::Dram(const DramParams& params, EventQueue& eq)
         rowMask_ = params_.rowsPerBank - 1;
     }
 
-    if (params_.scheduled()) {
-        channels_.resize(params_.channels);
-        inFlight_.resize(params_.requestors, 0);
-        firstIdx_.resize(params_.requestors);
-        firstHitIdx_.resize(params_.requestors);
-        coreBytes_.reserve(params_.requestors);
-        for (unsigned c = 0; c < params_.requestors; ++c)
-            coreBytes_.push_back(&stats_.counter(
-                "core" + std::to_string(c) + "_bytes"));
-    }
+    channels_.resize(params_.channels);
+    inFlight_.resize(params_.requestors, 0);
+    firstIdx_.resize(params_.requestors);
+    firstHitIdx_.resize(params_.requestors);
+    coreBytes_.reserve(params_.requestors);
+    for (unsigned c = 0; c < params_.requestors; ++c)
+        coreBytes_.push_back(
+            &stats_.counter("core" + std::to_string(c) + "_bytes"));
 }
 
 double
@@ -216,24 +216,6 @@ Dram::finish(MemRequest* req, Cycle arrival, Cycle done)
 }
 
 void
-Dram::access(MemRequest* req, Cycle now)
-{
-    if (params_.scheduled()) {
-        enqueueScheduled(req, now);
-        return;
-    }
-
-    const Decoded d = decode(req->addr);
-    if (req->kind == ReqKind::Writeback)
-        ++writesCtr_;
-    else
-        ++readsCtr_;
-
-    const Cycle done = serviceTiming(d, now);
-    finish(req, now, done);
-}
-
-void
 Dram::armTick(unsigned ch, Cycle at)
 {
     Channel& c = channels_[ch];
@@ -247,8 +229,14 @@ Dram::armTick(unsigned ch, Cycle at)
 }
 
 void
-Dram::enqueueScheduled(MemRequest* req, Cycle now)
+Dram::access(MemRequest* req, Cycle now)
 {
+    // Requests arrive by event or inline at the current cycle, never
+    // behind it: a stale stamp would start bank work in the past.
+    SL_CHECK_AT(now >= eq_.now(), "dram", eq_.now(),
+                "request for 0x" << std::hex << req->addr << std::dec
+                    << " stamped cycle " << now
+                    << ", behind the event clock");
     const Decoded d = decode(req->addr);
     Channel& c = channels_[d.channel];
 
@@ -264,7 +252,7 @@ Dram::enqueueScheduled(MemRequest* req, Cycle now)
         ++writesCtr_;
         c.writeQ.push_back(e);
         ++queuedWrites_;
-        notePeak("write_q_peak", c.writeQ.size());
+        writeQPeakCtr_.raiseTo(c.writeQ.size());
     } else {
         ++readsCtr_;
         if (e.demand)
@@ -276,7 +264,7 @@ Dram::enqueueScheduled(MemRequest* req, Cycle now)
         ++inFlight_[e.core];
         if (e.demand)
             ++c.demandQueued;
-        notePeak("read_q_peak", c.readQ.size());
+        readQPeakCtr_.raiseTo(c.readQ.size());
     }
 
     // The channel services one request per tick; ticks chase busFreeAt_
@@ -288,23 +276,21 @@ void
 Dram::tickChannel(unsigned ch, Cycle now)
 {
     Channel& c = channels_[ch];
-    if (c.readQ.empty() && c.writeQ.empty()) {
-        c.tickArmed = false;
+    c.tickArmed = false;
+    if (c.readQ.empty() && c.writeQ.empty())
         return;
-    }
 
     // Write-drain batching: enter drain mode at the high watermark or
     // when no read is waiting; leave once the queue falls to the low
-    // watermark (or empties) and a read wants the bus.
+    // watermark and a read wants the bus, or once it empties (below).
     if (!c.draining &&
         (c.writeQ.size() >= params_.writeDrainHigh ||
          (c.readQ.empty() && !c.writeQ.empty()))) {
         c.draining = true;
         ++writeDrainsCtr_;
     }
-    if (c.draining &&
-        (c.writeQ.empty() ||
-         (c.writeQ.size() <= params_.writeDrainLow && !c.readQ.empty())))
+    if (c.draining && c.writeQ.size() <= params_.writeDrainLow &&
+        !c.readQ.empty())
         c.draining = false;
 
     const std::size_t chBase =
@@ -370,12 +356,22 @@ Dram::tickChannel(unsigned ch, Cycle now)
 
     const QueuedReq e = (*q)[pick];
     q->erase(q->begin() + static_cast<std::ptrdiff_t>(pick));
+    // A batch ends with its queue: a drain flag left set across an idle
+    // spell would let the next batch's first writes jump waiting reads.
+    if (c.writeQ.empty())
+        c.draining = false;
 
     Decoded d;
     d.channel = ch;
     d.bank = e.bank;
     d.row = e.row;
-    const Cycle done = serviceTiming(d, now);
+    // Bank work starts at arrival (banks overlap behind the bus); the
+    // burst still follows pick order, so it never starts before now.
+    const Cycle done = serviceTiming(d, e.arrival);
+    SL_CHECK_AT(busFreeAt_[ch] - burstCycles_ >= now, "dram", now,
+                "burst on channel " << ch << " starts at cycle "
+                    << busFreeAt_[ch] - burstCycles_
+                    << ", before its pick");
 
     if (e.req->kind == ReqKind::Writeback) {
         --queuedWrites_;
@@ -390,16 +386,9 @@ Dram::tickChannel(unsigned ch, Cycle now)
     finish(e.req, e.arrival, done);
 
     // Chase the bus: the next service opportunity is when this burst
-    // leaves the channel. tickArmed stays true across the reschedule.
-    if (c.readQ.empty() && c.writeQ.empty()) {
-        c.tickArmed = false;
-        return;
-    }
-    EventDesc ed;
-    ed.comp = this;
-    ed.a = ch;
-    eq_.schedule(std::max(busFreeAt_[ch], now + 1),
-                 EventCallback::make(EventKind::DramTick, ed));
+    // leaves the channel.
+    if (!c.readQ.empty() || !c.writeQ.empty())
+        armTick(ch, std::max(busFreeAt_[ch], now + 1));
 }
 
 void
@@ -418,13 +407,8 @@ Dram::serializeState(Serializer& s, const SnapshotCtx& ctx)
     s.io(banks_);
     s.io(busFreeAt_);
 
-    // Scheduler queues: absent (zero channels) in unscheduled mode; the
-    // requestor count is config-derived, so both sides agree on shape.
-    std::uint32_t sched = static_cast<std::uint32_t>(channels_.size());
-    s.io(sched);
-    SL_CHECK(sched == channels_.size(), "dram",
-             "snapshot scheduler shape (" << sched << " channels) does "
-             "not match this configuration (" << channels_.size() << ")");
+    // Scheduler queues, one pair per channel (the geometry check above
+    // covers the channel count; the requestor count is config-derived).
     auto io_queue = [&](std::vector<QueuedReq>& q) {
         std::uint64_t n = q.size();
         s.io(n);
@@ -455,15 +439,13 @@ Dram::serializeState(Serializer& s, const SnapshotCtx& ctx)
                     ++c.demandQueued;
         }
     }
-    if (!channels_.empty()) {
-        s.io(inFlight_);
-        std::uint64_t qr = queuedReads_;
-        std::uint64_t qw = queuedWrites_;
-        s.io(qr);
-        s.io(qw);
-        queuedReads_ = static_cast<std::size_t>(qr);
-        queuedWrites_ = static_cast<std::size_t>(qw);
-    }
+    s.io(inFlight_);
+    std::uint64_t qr = queuedReads_;
+    std::uint64_t qw = queuedWrites_;
+    s.io(qr);
+    s.io(qw);
+    queuedReads_ = static_cast<std::size_t>(qr);
+    queuedWrites_ = static_cast<std::size_t>(qw);
     stats_.serializeState(s);
 }
 

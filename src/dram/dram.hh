@@ -7,19 +7,18 @@
  * 1/2/2/4 ranks per channel for 1/2/4/8 cores. Transfer rate is a knob so
  * the Fig 10c bandwidth sweep can scale it.
  *
- * Two service disciplines share the bank/row timing core:
+ * One service discipline for every core count: arrivals park in
+ * per-channel read/write queues and a per-channel FR-FCFS-with-priorities
+ * scheduler picks the next request each time the channel bus frees:
+ * demand reads beat prefetch reads, cores take round-robin turns
+ * (per-requestor in-flight accounting backs the rotation and the
+ * fairness stats), row-buffer hits go first within a core's turn, and
+ * writes drain in batches between read bursts (high/low watermark).
  *
- *  - Unscheduled (single core, the default): every access resolves its
- *    bank and bus slot at arrival, in arrival order — the original
- *    busy-until model, kept bit-identical for cores=1 runs.
- *
- *  - Scheduled (DramParams::requestors > 1): arrivals park in per-channel
- *    read/write queues and a per-channel FR-FCFS-with-priorities
- *    scheduler picks the next request each time the channel bus frees:
- *    demand reads beat prefetch reads, cores take round-robin turns
- *    (per-requestor in-flight accounting backs the rotation and the
- *    fairness stats), row-buffer hits go first within a core's turn, and
- *    writes drain in batches between read bursts (high/low watermark).
+ * A picked request's bank work starts at its arrival, not at the pick:
+ * banks overlap their row accesses behind the one data bus, and only
+ * the bursts serialise, in pick order. A channel therefore serves one
+ * request per burst when its queue spreads over banks.
  */
 
 #ifndef SL_DRAM_DRAM_HH
@@ -57,30 +56,26 @@ struct DramParams
      *  controller and back; added to every access's completion time. */
     double controllerNs = 30.0;
 
-    /** Cores sharing this DRAM. Values > 1 enable the per-channel
-     *  FR-FCFS scheduler; 0/1 keeps the legacy arrival-order model so
-     *  single-core runs stay bit-identical to pre-scheduler builds. */
-    unsigned requestors = 0;
+    /** Cores sharing this DRAM (round-robin turns and per-core byte
+     *  counters); at least one. */
+    unsigned requestors = 1;
 
-    /** Write-drain watermarks (scheduled mode): start draining writes
-     *  when a channel's write queue reaches writeDrainHigh, stop once it
-     *  falls to writeDrainLow (or a read is waiting and the batch is
-     *  done). */
+    /** Write-drain watermarks: start draining writes when a channel's
+     *  write queue reaches writeDrainHigh (or no read is waiting), stop
+     *  once it falls to writeDrainLow with a read waiting, or empties. */
     unsigned writeDrainHigh = 16;
     unsigned writeDrainLow = 4;
-
-    bool scheduled() const { return requestors > 1; }
 
     /** Reject nonsensical DRAM geometry/timing before a run starts. */
     void validate() const;
 };
 
 /**
- * Bank-aware DRAM model. Each access resolves its channel/rank/bank/row,
- * pays row-hit / row-miss / row-conflict latency on the bank, then queues
- * for the channel data bus. Reads respond to the requesting client;
- * writebacks only consume bank and bus time. See the file comment for
- * the scheduled (multi-core) service discipline.
+ * Bank-aware DRAM model. Each access resolves its channel/rank/bank/row
+ * and queues on its channel; when picked it pays row-hit / row-miss /
+ * row-conflict latency on the bank, then its burst takes the channel
+ * data bus. Reads respond to the requesting client; writebacks only
+ * consume bank and bus time. See the file comment for the pick order.
  */
 class Dram : public MemLevel
 {
@@ -110,16 +105,17 @@ class Dram : public MemLevel
     unsigned channels() const { return params_.channels; }
 
     /** Queued (not yet serviced) read requests across all channels.
-     *  Always zero in unscheduled mode; the MemPressure signal divides
-     *  this by channels() to get a per-channel congestion estimate. */
+     *  The MemPressure signal divides this by channels() to get a
+     *  per-channel congestion estimate. */
     std::size_t queuedReads() const { return queuedReads_; }
 
-    /** Queued write(back)s across all channels (scheduled mode). */
+    /** Queued write(back)s across all channels. */
     std::size_t queuedWrites() const { return queuedWrites_; }
 
     /** Service one scheduling step on @p ch (EventKind::DramTick
      *  target): pick the best queued request, commit its bank/bus
-     *  timing, and re-arm the tick while work remains. */
+     *  timing, and re-arm the tick for the bus-free cycle while work
+     *  remains. */
     void tickChannel(unsigned ch, Cycle now);
 
     /** Snapshot bank/row/bus state, scheduler queues (request pointers
@@ -139,14 +135,14 @@ class Dram : public MemLevel
     struct QueuedReq
     {
         MemRequest* req = nullptr;
-        Cycle arrival = 0;          //!< for FCFS order and latency stats
+        Cycle arrival = 0;          //!< bank start, FCFS order, latency
         std::uint32_t bank = 0;     //!< channel-local bank index
         std::uint32_t row = 0;
         std::int32_t core = 0;      //!< clamped requestor id
         bool demand = false;        //!< demand read (beats prefetch)
     };
 
-    /** Per-channel scheduler state (scheduled mode only). */
+    /** Per-channel scheduler state. */
     struct Channel
     {
         std::vector<QueuedReq> readQ;
@@ -168,15 +164,13 @@ class Dram : public MemLevel
 
     Decoded decode(Addr addr) const;
 
-    /** Commit bank/bus timing for one request at service time @p start;
-     *  returns the completion cycle (shared by both disciplines). */
+    /** Commit bank/bus timing for one request whose bank work may start
+     *  at @p start (its arrival); returns the completion cycle. */
     Cycle serviceTiming(const Decoded& d, Cycle start);
 
-    void enqueueScheduled(MemRequest* req, Cycle now);
-
-    /** Completion tail shared by both disciplines: apply injected fault
-     *  delay, record latency telemetry, and respond (reads) or dispose
-     *  (writebacks have no client). */
+    /** Completion tail: apply injected fault delay, record latency
+     *  telemetry, and respond (reads) or dispose (writebacks have no
+     *  client). */
     void finish(MemRequest* req, Cycle arrival, Cycle done);
 
     std::int32_t clampCore(int core) const;
@@ -206,20 +200,20 @@ class Dram : public MemLevel
     std::uint64_t rowMask_ = 0;
     StatGroup stats_;
 
-    // ---- scheduler state (sized only when params_.scheduled()) ----
+    // ---- scheduler state ----
     std::vector<Channel> channels_;
     /** Per-requestor queued-request counts (in-flight accounting: the
      *  fairness rotation and the MemPressure probe both read these). */
     std::vector<std::uint32_t> inFlight_;
     /** Per-core {oldest, oldest-row-hit} read-queue candidates, filled
      *  by one pass over the queue per scheduling tick (scratch; sized
-     *  to requestors in scheduled mode, never serialized). */
+     *  to requestors, never serialized). */
     std::vector<std::uint32_t> firstIdx_;
     std::vector<std::uint32_t> firstHitIdx_;
     std::size_t queuedReads_ = 0;
     std::size_t queuedWrites_ = 0;
     /** Per-requestor serviced-byte counters, registered eagerly at
-     *  construction in scheduled mode ("core<i>_bytes"). */
+     *  construction ("core<i>_bytes"). */
     std::vector<Counter*> coreBytes_;
 
     /** Per-access counters; lazily registered (HotCounter) so counters
@@ -230,22 +224,12 @@ class Dram : public MemLevel
     HotCounter rowMissesCtr_{stats_, "row_misses"};
     HotCounter rowConflictsCtr_{stats_, "row_conflicts"};
     HotCounter bytesCtr_{stats_, "bytes"};
-    /** Scheduler counters; only ever fire in scheduled mode, so
-     *  single-core stat digests never see them. */
     HotCounter demandReadsCtr_{stats_, "sched_demand_reads"};
     HotCounter prefetchReadsCtr_{stats_, "sched_prefetch_reads"};
     HotCounter writeDrainsCtr_{stats_, "sched_write_drains"};
     HotCounter readQWaitCtr_{stats_, "read_q_wait_cycles"};
-
-    /** Record a high-water mark under @p key (scheduled mode only, so
-     *  the eager registration never touches single-core digests). */
-    void
-    notePeak(const char* key, std::uint64_t v)
-    {
-        Counter& c = stats_.counter(key);
-        if (v > c.value())
-            c.set(v);
-    }
+    HotCounter readQPeakCtr_{stats_, "read_q_peak"};
+    HotCounter writeQPeakCtr_{stats_, "write_q_peak"};
 };
 
 } // namespace sl

@@ -23,7 +23,9 @@
  * (release-under-pressure with hysteresis; see prefetcher.hh).
  *
  * Only constructed for multi-core systems; single-core caches keep a
- * null PressureSignal and their digests stay bit-identical.
+ * null PressureSignal and admit every prefetch. The DRAM read queues it
+ * probes exist for every core count (one FR-FCFS discipline), so giving
+ * one core a probe is a pure policy change, not a structural one.
  */
 
 #ifndef SL_SIM_MEM_PRESSURE_HH

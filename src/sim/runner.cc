@@ -279,9 +279,9 @@ runWorkloadsRaw(const RunConfig& cfg,
     res.dramWrites = dram.get("writes");
     res.dramBytes = dram.get("bytes");
 
-    // Shared-memory-system contention counters. All of these read zero on
-    // single-core runs (scheduler/arbiter/pressure gated off), so probing
-    // them unconditionally costs nothing there.
+    // Shared-memory-system contention counters. The pressure and quota
+    // counters read zero on single-core runs (arbiter and pressure probe
+    // gated off); the DRAM scheduler counters fire on every run.
     for (unsigned c = 0; c < cfg.cores; ++c) {
         res.pfDroppedPressure +=
             sys.l1d(c).stats().get("prefetch_dropped_pressure");

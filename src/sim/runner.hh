@@ -85,8 +85,9 @@ struct RunResult
     std::uint64_t dramWrites = 0;
     std::uint64_t dramBytes = 0;
 
-    // Shared-memory-system contention metrics (all zero on single-core
-    // runs, whose DRAM scheduler / LLC arbiter / pressure probe are off).
+    // Shared-memory-system contention metrics. The DRAM scheduler's count
+    // on every run; pressure drops and quota stalls stay zero on
+    // single-core runs, whose LLC arbiter and pressure probe are off.
     /** Prefetches shed by MemPressure before issue (every cache). */
     std::uint64_t pfDroppedPressure = 0;
     /** LLC retries caused by a core exhausting its MSHR quota. */
@@ -96,7 +97,7 @@ struct RunResult
     /** DRAM reads serviced under demand / prefetch class priority. */
     std::uint64_t dramDemandReads = 0;
     std::uint64_t dramPrefetchReads = 0;
-    /** Bytes DRAM served per core ("core<i>_bytes", scheduled mode). */
+    /** Bytes DRAM served per core ("core<i>_bytes"; multi-core runs). */
     std::vector<std::uint64_t> dramCoreBytes;
 
     /** Stat snapshots for deeper probes (per core). */

@@ -36,9 +36,9 @@ namespace sl
 class System;
 
 /** On-disk snapshot format version; bump on any payload layout change.
- *  v5: per-cache wakeup-list sections; no poll generation in requests
- *  or caches. */
-constexpr std::uint32_t kSnapshotVersion = 5;
+ *  v6: every run serializes its DRAM channel queues (one FR-FCFS
+ *  discipline for every core count); no scheduler-shape field. */
+constexpr std::uint32_t kSnapshotVersion = 6;
 
 /**
  * Serialize the full dynamic state of @p sys, paused between cycles at

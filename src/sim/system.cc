@@ -51,9 +51,6 @@ dramForCores(unsigned cores, unsigned mts)
       case 4: p.channels = 2; p.ranksPerChannel = 2; break;
       default: p.channels = 4; p.ranksPerChannel = 2; break;
     }
-    // requestors > 1 switches Dram into the per-channel FR-FCFS
-    // scheduler; one core keeps the legacy arrival-order discipline
-    // (and its bit-identical digests).
     p.requestors = cores;
     return p;
 }

@@ -59,27 +59,28 @@ struct GoldenRow
 // Full-run digests (traceScale 0.05, seed 1, stride L1). The digests
 // cover the *complete* prefetcher and metadata-store stat maps, so any
 // change to counter values -- or to which counters get registered --
-// fails here, and so does any change to wake order, pass-on chaining or
-// the inline cache-to-cache hops (DESIGN.md §14).
+// fails here, and so does any change to wake order, pass-on chaining,
+// the inline cache-to-cache hops (DESIGN.md §14) or the DRAM pick order
+// (DESIGN.md §12).
 inline constexpr GoldenRow kGolden[] = {
-    {"streamline", "spec06_mcf", 0x3fd5178d31158a45ULL,
-     17685425496156585352ULL, 15155647001994564694ULL, 40633, 2600512,
-     15157, 6962, 27038, 15596, 15750},
-    {"streamline", "gap_bfs", 0x40156e15ccf6a3c3ULL,
-     16366167094985885994ULL, 4262596619712192483ULL, 790, 50560,
-     1698, 1040, 3027, 2430, 2439},
-    {"triage", "spec06_mcf", 0x3fd798ad3eb880fdULL,
-     10965295171386264284ULL, 14695981039346656037ULL, 40682, 2603648,
-     117994, 35681, 25465, 21572, 22086},
-    {"triage", "gap_bfs", 0x40084f0f1835730bULL,
-     17017092280115398680ULL, 14695981039346656037ULL, 820, 52480,
-     19513, 5626, 2562, 3068, 3362},
-    {"triangel", "spec06_mcf", 0x3fd585ad716435fcULL,
-     6343442115286259055ULL, 14695981039346656037ULL, 40671, 2602944,
-     43799, 11126, 25247, 20775, 21111},
-    {"triangel", "gap_bfs", 0x401536b8aa8628dfULL,
-     13972193496535648856ULL, 14695981039346656037ULL, 790, 50560,
-     5823, 1345, 1797, 3674, 3684},
+    {"streamline", "spec06_mcf", 0x3fd4f3ce441840acULL,
+     16387182989679362704ULL, 15155647001994564694ULL, 40633, 2600512,
+     15157, 6962, 27341, 15619, 15773},
+    {"streamline", "gap_bfs", 0x4014ca3c678ac507ULL,
+     17941494327627623614ULL, 10586314003329820419ULL, 790, 50560,
+     1700, 1030, 2923, 2592, 2599},
+    {"triage", "spec06_mcf", 0x3fd76a5dd0bdfe50ULL,
+     2996249642007329399ULL, 14695981039346656037ULL, 40678, 2603392,
+     117998, 35682, 24592, 21412, 21928},
+    {"triage", "gap_bfs", 0x40091806925d1588ULL,
+     9458815478729230711ULL, 14695981039346656037ULL, 811, 51904,
+     18814, 5439, 2484, 2959, 3220},
+    {"triangel", "spec06_mcf", 0x3fd63aa4283410b3ULL,
+     6905316249603145240ULL, 14695981039346656037ULL, 40671, 2602944,
+     43803, 11127, 24123, 20734, 21073},
+    {"triangel", "gap_bfs", 0x40153c82f918488aULL,
+     15031366736971310637ULL, 14695981039346656037ULL, 790, 50560,
+     5777, 1369, 1732, 3739, 3747},
 };
 
 /** Run every golden cell on top of @p base (traceScale and l2 are set

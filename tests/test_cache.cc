@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include "cache/cache.hh"
+#include "dram/dram.hh"
 #include "test_util.hh"
 
 namespace sl
@@ -270,6 +271,39 @@ TEST_F(CacheFixture, ReclaimEvictsReservedWays)
     cache->setPartition(&part);
     cache->reclaimReservedWays(0, 10'000);
     EXPECT_EQ(cache->stats().get("partition_reclaims"), 2u);
+}
+
+TEST(CacheOverDram, StaleReclaimStampWritesBackAtCurrentCycle)
+{
+    // A partition resize may reclaim dirty ways with a stamp behind the
+    // event clock. The writebacks must reach the idle DRAM channel at
+    // the current cycle: a stale arrival would schedule its tick, and
+    // start its bank work, in the past.
+    EventQueue eq;
+    Dram dram(DramParams{}, eq);
+    CacheParams p;
+    p.name = "llc";
+    p.sizeBytes = 4 * 1024; // 16 sets x 4 ways
+    p.ways = 4;
+    p.latency = 10;
+    p.mshrs = 4;
+    Cache llc(p, eq, &dram);
+    for (unsigned i = 0; i < 4; ++i) {
+        auto* st = new MemRequest;
+        st->addr = static_cast<Addr>(i) * 16 * kBlockBytes; // all set 0
+        st->kind = ReqKind::DemandStore;
+        llc.access(st, i);
+    }
+    drain(eq);
+    eq.runUntil(50'000); // channel idle, clock well past its last burst
+
+    FixedPartition part(2);
+    llc.setPartition(&part);
+    llc.reclaimReservedWays(0, 0);
+    EXPECT_EQ(dram.stats().get("writes"), 0u); // not yet: by event
+    drain(eq);
+    EXPECT_EQ(llc.stats().get("writebacks"), 2u);
+    EXPECT_EQ(dram.stats().get("writes"), 2u);
 }
 
 TEST_F(CacheFixture, StatsConsistency)

@@ -17,6 +17,7 @@
 #include "common/fault.hh"
 #include "common/ring_buffer.hh"
 #include "core/stream_store.hh"
+#include "dram/dram.hh"
 #include "sim/hardening.hh"
 #include "sim/runner.hh"
 #include "sim/system.hh"
@@ -225,6 +226,23 @@ TEST(ConfigValidation, StreamStoreParamsRejected)
     p = StreamStoreParams{};
     p.streamLength = 0;
     EXPECT_THROW(StreamStore{p}, SimError);
+}
+
+TEST(ConfigValidation, DramParamsRejected)
+{
+    DramParams p;
+    EXPECT_EQ(p.requestors, 1u);
+    EXPECT_NO_THROW(p.validate());
+    // No requestor would leave the round-robin cursor nothing to serve.
+    p.requestors = 0;
+    EXPECT_THROW(p.validate(), SimError);
+    // The write-drain watermarks apply to one requestor as to many.
+    p = DramParams{};
+    p.writeDrainLow = p.writeDrainHigh;
+    EXPECT_THROW(p.validate(), SimError);
+    p = DramParams{};
+    p.channels = 0;
+    EXPECT_THROW(p.validate(), SimError);
 }
 
 // ---------- Progress watchdog (standalone) ----------

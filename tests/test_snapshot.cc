@@ -20,9 +20,12 @@
 
 #include "common/error.hh"
 #include "common/serializer.hh"
+#include "dram/dram.hh"
 #include "sim/batch.hh"
 #include "sim/runner.hh"
 #include "sim/snapshot.hh"
+#include "sim/system.hh"
+#include "trace/workloads.hh"
 #include "test_util.hh"
 
 namespace sl
@@ -168,7 +171,9 @@ expectIdenticalResults(const RunResult& a, const RunResult& b)
     EXPECT_EQ(a.dramWrites, b.dramWrites);
     EXPECT_EQ(a.dramBytes, b.dramBytes);
     EXPECT_EQ(a.storedCorrelations, b.storedCorrelations);
-    // Shared-memory-system counters (nonzero only on multi-core runs).
+    // Shared-memory-system counters (the DRAM scheduler's fire on every
+    // run; pressure drops, quota stalls and per-core bytes are
+    // multi-core only).
     EXPECT_EQ(a.pfDroppedPressure, b.pfDroppedPressure);
     EXPECT_EQ(a.llcQuotaStalls, b.llcQuotaStalls);
     EXPECT_EQ(a.dramReadQueueWait, b.dramReadQueueWait);
@@ -193,6 +198,29 @@ spit(const std::string& path, const std::vector<char>& bytes)
     out.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
 }
 
+/** Queued DRAM reads where a snapshot at @p at would be taken: the
+ *  top of the first run-loop iteration at or after that cycle. */
+std::size_t
+queuedDramReadsAt(const RunConfig& cfg, const std::string& workload,
+                  Cycle at)
+{
+    struct Stop
+    {
+    };
+    System sys(systemConfigFor(cfg),
+               {getTrace(workload, cfg.traceScale, cfg.seed)});
+    std::size_t queued = 0;
+    sys.scheduleSnapshot(at, [&](System& s, Cycle) {
+        queued = s.dram().queuedReads();
+        throw Stop{};
+    });
+    try {
+        sys.run();
+    } catch (const Stop&) {
+    }
+    return queued;
+}
+
 TEST(SnapshotFile, SaveRestoreRoundTripIsBitIdentical)
 {
     const test::ScratchDir dir;
@@ -202,17 +230,23 @@ TEST(SnapshotFile, SaveRestoreRoundTripIsBitIdentical)
 
     const RunResult plain = runWorkloadsRaw(cfg, w);
 
-    RunHooks save;
-    save.snapshotAt = 20'000;
-    save.snapshotPath = path;
-    const RunResult saved = runWorkloadsRaw(cfg, w, save);
-    // Saving mid-run must not perturb the run that continues past it.
-    expectIdenticalResults(plain, saved);
+    // The second save point catches a read parked in the DRAM channel
+    // queue, so the queue section carries a live request.
+    ASSERT_GT(queuedDramReadsAt(cfg, w[0], 22'000), 0u);
+    for (const Cycle at : {Cycle{20'000}, Cycle{22'000}}) {
+        SCOPED_TRACE("snapshot at " + std::to_string(at));
+        RunHooks save;
+        save.snapshotAt = at;
+        save.snapshotPath = path;
+        const RunResult saved = runWorkloadsRaw(cfg, w, save);
+        // Saving mid-run must not perturb the run that continues past it.
+        expectIdenticalResults(plain, saved);
 
-    RunHooks restore;
-    restore.restorePath = path;
-    const RunResult resumed = runWorkloadsRaw(cfg, w, restore);
-    expectIdenticalResults(plain, resumed);
+        RunHooks restore;
+        restore.restorePath = path;
+        const RunResult resumed = runWorkloadsRaw(cfg, w, restore);
+        expectIdenticalResults(plain, resumed);
+    }
 }
 
 /**
@@ -220,9 +254,10 @@ TEST(SnapshotFile, SaveRestoreRoundTripIsBitIdentical)
  * DRAM read/write queues with mid-flight requests, per-core LLC MSHR
  * quota charges, core/class tags on queued entries, and the pressure
  * probe's parity coin — must all survive a snapshot taken while that
- * machinery is busy. A 2-core mix keeps every piece engaged (the DRAM
- * scheduler, LLC arbiter, and MemPressure only exist when cores > 1);
- * the save point lands mid-run so queues are realistically non-empty.
+ * machinery is busy. A 2-core mix keeps every piece engaged (the LLC
+ * arbiter and MemPressure only exist when cores > 1, and the DRAM
+ * scheduler rotates between two requestors); the save point lands
+ * mid-run so queues are realistically non-empty.
  */
 TEST(SnapshotFile, MultiCoreSharedMemoryRoundTrip)
 {
@@ -245,8 +280,8 @@ TEST(SnapshotFile, MultiCoreSharedMemoryRoundTrip)
     const RunResult resumed = runWorkloadsRaw(cfg, w, restore);
     expectIdenticalResults(plain, resumed);
 
-    // The run must actually have exercised the scheduled DRAM path, or
-    // this round-trip proves nothing about the new state.
+    // The run must actually have exercised both requestors' DRAM
+    // traffic, or this round-trip proves nothing about the new state.
     EXPECT_GT(plain.dramDemandReads + plain.dramPrefetchReads, 0u);
     ASSERT_EQ(plain.dramCoreBytes.size(), 2u);
     EXPECT_GT(plain.dramCoreBytes[0] + plain.dramCoreBytes[1], 0u);
