@@ -305,15 +305,16 @@ EOF
 # Sampling stage (DESIGN.md §15): the sampled + checkpointed runner.
 # Three gates: (a) the sampling unit tests (reassembly fixtures,
 # profile/k-means determinism, checkpoint reuse, and the kill + resume
-# byte-identity test), (b) an ASan+UBSan sampled run end-to-end (the
-# functional-warmup and restore paths shake out memory errors at tiny
-# scale), and (c) fidelity + speedup at paper scale: bench_sampling
-# runs {streamline,triage,triangel} x {spec06_mcf,gap_bfs} full and
-# sampled, and every cell's IPC relative error must stay within
+# byte-identity test), (b) an ASan+UBSan sampled run end-to-end on two
+# workers (the functional-warmup and restore paths shake out memory
+# errors at tiny scale, and the checkpoint pass runs beside an interval
+# job on any host), and (c) fidelity + speedup at paper scale:
+# bench_sampling runs {streamline,triage,triangel} x {spec06_mcf,gap_bfs}
+# full and sampled, and every cell's IPC relative error must stay within
 # SL_SAMPLING_ERR (default 0.03 -- IPC is deterministic, so this gate
 # is noise-free) while the aggregate warm-checkpoint speedup must stay
 # above SL_SAMPLING_FLOOR (default 2.5x; wall clock IS noisy on shared
-# hardware, hence the margin under the measured ~3.4x; 0 disables,
+# hardware, hence the margin under the measured ~3.15x; 0 disables,
 # e.g. under emulation).
 sampling() {
     local dir="$1" sandir="$2"
@@ -325,7 +326,7 @@ sampling() {
     cmake --build "${sandir}" --target sl_run -j
     local sckpt="${sandir}/sampling_ckpt"
     rm -rf "${sckpt}"
-    SL_SAMPLE_DIR="${sckpt}" "${sandir}/src/sim/sl_run" \
+    SL_SAMPLE_DIR="${sckpt}" SL_JOBS=2 "${sandir}/src/sim/sl_run" \
         --l2 streamline --scale 0.05 \
         --sample-intervals 12 --sample-k 6 spec06_mcf \
         > "${sandir}/sampling_smoke.out"

@@ -254,6 +254,7 @@ class Cache : public MemLevel, public RequestClient
         bool dirty = false;
         bool prefetched = false;       //!< filled by a prefetch, unused yet
         bool prefetchOriginHere = false; //!< that prefetch originated here
+        std::uint8_t pad[4] = {}; //!< explicit zero padding
         Addr tag = 0;
         /** Install cycle; with telemetry on, the first demand hit on a
          *  prefetched block reports (now - fillAt) as fill-to-demand

@@ -82,6 +82,19 @@ crc32(const void* data, std::size_t len, std::uint32_t seed = 0)
 }
 
 /**
+ * Whether io() may copy a T byte for byte. Padding bytes hold whatever
+ * the last temporary left there, so two saves of the same state would
+ * differ and a snapshot would carry stray memory; serialized structs
+ * spell their padding as zero-initialized members instead. float and
+ * double have no unique representation (+0 vs -0) but no padding
+ * either.
+ */
+template <typename T>
+inline constexpr bool kNoPadding =
+    std::has_unique_object_representations_v<T> ||
+    std::is_same_v<T, float> || std::is_same_v<T, double>;
+
+/**
  * Bidirectional field streamer. Construct in Save mode to fill an
  * owned byte buffer, or in Load mode over an existing payload.
  */
@@ -111,6 +124,8 @@ class Serializer
         static_assert(std::is_trivially_copyable_v<T> &&
                           !std::is_pointer_v<T>,
                       "io() is for value types; swizzle pointers by hand");
+        static_assert(kNoPadding<T>,
+                      "padded type: spell its padding as zeroed members");
         ioBytes(&v, sizeof(T));
     }
 
@@ -154,6 +169,8 @@ class Serializer
         static_assert(std::is_trivially_copyable_v<T> &&
                           !std::is_pointer_v<T>,
                       "element type must be a trivially copyable value");
+        static_assert(kNoPadding<T>,
+                      "padded type: spell its padding as zeroed members");
         std::uint64_t n = v.size();
         io(n);
         if (loading()) {

@@ -207,10 +207,12 @@ class StreamStore
     struct Slot
     {
         bool valid = false;
+        std::uint8_t pad0[7] = {}; //!< explicit zero padding
         StreamEntry entry;
         std::uint16_t ptag = 0;
         std::uint8_t rrpv = 2;  //!< SRRIP state
         std::int8_t etr = 0;    //!< TP-Mockingjay estimated time remaining
+        std::uint8_t pad1[4] = {}; //!< explicit zero padding
         PC pc = 0;
     };
 

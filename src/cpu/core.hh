@@ -188,6 +188,7 @@ class Core : public RequestClient
         std::uint32_t weight = 1;     //!< instruction count (bubbles fold)
         bool isMem = false;
         bool endsRecord = false;
+        std::uint8_t pad[2] = {};     //!< explicit zero padding
         Cycle doneAt = kNoCycle;      //!< kNoCycle while a load is in flight
         Cycle issuedAt = 0;           //!< dispatch cycle (load-to-use probe)
         std::uint64_t slotGen = 0;    //!< matches in-flight request tags

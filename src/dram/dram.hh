@@ -129,6 +129,7 @@ class Dram : public MemLevel
         Cycle readyAt = 0;
         std::uint32_t openRow = ~0u;
         bool rowValid = false;
+        std::uint8_t pad[3] = {}; //!< explicit zero padding
     };
 
     /** One parked request in a channel's read or write queue. */

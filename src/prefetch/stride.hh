@@ -43,6 +43,7 @@ class StridePrefetcher : public Prefetcher
         std::int64_t stride = 0;
         unsigned confidence = 0;
         bool valid = false;
+        std::uint8_t pad[3] = {}; //!< explicit zero padding
     };
 
     unsigned degree_;

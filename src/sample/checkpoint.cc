@@ -45,7 +45,8 @@ checkpointPath(const std::string& dir, const RunConfig& cfg,
 std::size_t
 generateCheckpoints(const RunConfig& cfg, const std::string& workload,
                     const std::vector<std::size_t>& records,
-                    const std::string& dir)
+                    const std::string& dir,
+                    const std::function<void(std::size_t)>& onReady)
 {
     SL_REQUIRE(cfg.cores == 1, "sample_checkpoint",
                "checkpoint generation is single-core (got " << cfg.cores
@@ -69,8 +70,12 @@ generateCheckpoints(const RunConfig& cfg, const std::string& workload,
                         return snapshotFileIsCurrent(
                             checkpointPath(dir, cfg, workload, b));
                     });
-    if (all_present)
+    if (all_present) {
+        if (onReady)
+            for (const std::size_t b : boundaries)
+                onReady(b);
         return 0;
+    }
 
     // First write into a fresh SL_SAMPLE_DIR: create it instead of
     // failing in writeSnapshotFile's stream check.
@@ -144,6 +149,8 @@ generateCheckpoints(const RunConfig& cfg, const std::string& workload,
                           digest, sys, snapCycle);
         setFunctional(true);
         ++generated;
+        if (onReady)
+            onReady(boundary);
     }
     return generated;
 }

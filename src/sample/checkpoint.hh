@@ -15,6 +15,7 @@
 #define SL_SAMPLE_CHECKPOINT_HH
 
 #include <cstdint>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -41,11 +42,17 @@ std::string checkpointPath(const std::string& dir, const RunConfig& cfg,
  * exists in the current snapshot format (a file left by a build with
  * another kSnapshotVersion is regenerated). Returns the number of
  * checkpoints actually generated.
+ *
+ * @p onReady, when set, is called with each distinct boundary, in
+ * ascending order, as soon as its file is written and closed; on the
+ * warm path it is called for every boundary found current. A boundary
+ * is never reported before its file is final, so a reader woken by it
+ * sees the whole file.
  */
-std::size_t generateCheckpoints(const RunConfig& cfg,
-                                const std::string& workload,
-                                const std::vector<std::size_t>& records,
-                                const std::string& dir);
+std::size_t generateCheckpoints(
+    const RunConfig& cfg, const std::string& workload,
+    const std::vector<std::size_t>& records, const std::string& dir,
+    const std::function<void(std::size_t)>& onReady = {});
 
 } // namespace sl
 

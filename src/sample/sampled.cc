@@ -2,7 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
+#include <condition_variable>
 #include <cstdlib>
+#include <mutex>
+#include <set>
 #include <sstream>
 
 #include "common/error.hh"
@@ -218,6 +221,56 @@ validateSampleRun(const RunConfig& cfg, const SampleOptions& opts)
     SL_REQUIRE(opts.k > 0, "sample", "need at least 1 cluster");
 }
 
+/**
+ * Hands each checkpoint from the functional pass to the interval jobs
+ * that restore from it (DESIGN.md §15 step 3). The pass opens a
+ * boundary once its file is written and closed; a job blocks in
+ * await() until its boundary opens. Once the pass has ended, for any
+ * reason, the gate is closed and a job whose boundary never opened
+ * throws instead of waiting forever. That only happens when the pass
+ * failed, and runSampled then rethrows the pass's own error.
+ */
+class CheckpointGate
+{
+  public:
+    void
+    open(std::size_t record)
+    {
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            ready_.insert(record);
+        }
+        cv_.notify_all();
+    }
+
+    void
+    close()
+    {
+        {
+            std::lock_guard<std::mutex> lock(mu_);
+            closed_ = true;
+        }
+        cv_.notify_all();
+    }
+
+    void
+    await(std::size_t record)
+    {
+        std::unique_lock<std::mutex> lock(mu_);
+        cv_.wait(lock,
+                 [&] { return closed_ || ready_.count(record) != 0; });
+        SL_REQUIRE(ready_.count(record) != 0, "sample_checkpoint",
+                   "checkpoint pass ended without writing record "
+                       << record);
+    }
+
+  private:
+    std::mutex mu_;
+    std::condition_variable cv_;
+    std::set<std::size_t> ready_;
+    bool closed_ = false;
+};
+
 } // namespace
 
 SampledReport
@@ -246,8 +299,8 @@ runSampled(const RunConfig& cfg, const std::string& workload,
     std::vector<std::size_t> boundaries;
     for (const auto& p : plans)
         boundaries.push_back(p.checkpoint);
-    generateCheckpoints(cfg, workload, boundaries, dir);
 
+    CheckpointGate gate;
     std::vector<ExperimentSpec> specs;
     specs.reserve(plans.size());
     for (const auto& p : plans) {
@@ -260,6 +313,9 @@ runSampled(const RunConfig& cfg, const std::string& workload,
         spec.workloads = {workload};
         spec.hooks.restorePath =
             checkpointPath(dir, cfg, workload, p.checkpoint);
+        spec.hooks.awaitRestore = [&gate, b = p.checkpoint] {
+            gate.await(b);
+        };
         spec.hooks.measureWarmupRecords = p.start;
         spec.hooks.measureEvalRecords = p.end;
         spec.hooks.statFence = true;
@@ -271,7 +327,17 @@ runSampled(const RunConfig& cfg, const std::string& workload,
     bopts.jobTimeoutSec = opts.jobTimeoutSec;
     BatchRunner runner(opts.threads, bopts);
     const auto t0 = std::chrono::steady_clock::now();
-    const std::vector<JobResult> results = runner.run(specs);
+    // The checkpoint pass leads on worker 0; every other worker starts
+    // intervals as their checkpoints land.
+    const std::vector<JobResult> results = runner.run(specs, [&] {
+        struct CloseOnExit
+        {
+            CheckpointGate& gate;
+            ~CloseOnExit() { gate.close(); }
+        } closer{gate};
+        generateCheckpoints(cfg, workload, boundaries, dir,
+                            [&gate](std::size_t b) { gate.open(b); });
+    });
     const double wall =
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       t0)

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdlib>
+#include <exception>
 #include <fstream>
 #include <iomanip>
 #include <limits>
@@ -56,11 +57,21 @@ jobDigest(const ExperimentSpec& spec)
 namespace
 {
 
+double
+secondsSince(std::chrono::steady_clock::time_point t0)
+{
+    return std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                         t0)
+        .count();
+}
+
 /**
  * One attempt-limited job execution. The per-job timeout flows through
  * RunHooks: over-budget jobs snapshot themselves first (so a hung run is
  * resumable for postmortem), then fail with SimError("job_timeout") and
- * take the same retry/journal path as any other failure.
+ * take the same retry/journal path as any other failure. Time spent in
+ * hooks.awaitRestore is taken off wallSeconds: the job clock measures
+ * the job, not the wait for its input.
  */
 JobResult
 runOne(const ExperimentSpec& spec, const BatchOptions& opts,
@@ -70,6 +81,18 @@ runOne(const ExperimentSpec& spec, const BatchOptions& opts,
     const auto t0 = std::chrono::steady_clock::now();
 
     RunHooks hooks = spec.hooks;
+    double waited = 0;
+    if (hooks.awaitRestore)
+        hooks.awaitRestore = [&waited, await = spec.hooks.awaitRestore] {
+            const auto w0 = std::chrono::steady_clock::now();
+            try {
+                await();
+            } catch (...) {
+                waited += secondsSince(w0);
+                throw;
+            }
+            waited += secondsSince(w0);
+        };
     if (opts.jobTimeoutSec > 0) {
         hooks.wallTimeoutSec = opts.jobTimeoutSec;
         hooks.timeoutSnapshotPath =
@@ -106,9 +129,7 @@ runOne(const ExperimentSpec& spec, const BatchOptions& opts,
                 formatReproBundle(spec.config, spec.workloads, err);
         }
     }
-    jr.wallSeconds = std::chrono::duration<double>(
-                         std::chrono::steady_clock::now() - t0)
-                         .count();
+    jr.wallSeconds = secondsSince(t0) - waited;
     return jr;
 }
 
@@ -151,7 +172,8 @@ loadManifest(const std::string& path)
 } // namespace
 
 std::vector<JobResult>
-BatchRunner::run(const std::vector<ExperimentSpec>& specs_in) const
+BatchRunner::run(const std::vector<ExperimentSpec>& specs_in,
+                 const std::function<void()>& lead) const
 {
     // Jobs that write telemetry files must not share a path: rewrite
     // every configured output to its per-job variant when more than one
@@ -180,8 +202,11 @@ BatchRunner::run(const std::vector<ExperimentSpec>& specs_in) const
     const std::vector<ExperimentSpec>& specs = *specs_ptr;
 
     std::vector<JobResult> results(specs.size());
-    if (specs.empty())
+    if (specs.empty()) {
+        if (lead)
+            lead();
         return results;
+    }
 
     // Resumable sweeps: digests identify jobs across invocations; the
     // journal replays completed-ok jobs and reruns everything else.
@@ -224,28 +249,39 @@ BatchRunner::run(const std::vector<ExperimentSpec>& specs_in) const
         }
     };
 
-    const std::size_t workers =
-        std::min<std::size_t>(threads_, specs.size());
-    if (workers <= 1) {
-        for (std::size_t i = 0; i < specs.size(); ++i)
-            runJob(i);
-        return results;
-    }
-
     // Work-stealing by atomic ticket: results land at their submission
     // index, so the output order never depends on thread interleaving.
+    // Worker 0 runs the lead first; a failed lead exhausts the tickets.
     std::atomic<std::size_t> next{0};
-    auto worker = [&specs, &runJob, &next] {
+    std::exception_ptr leadError;
+    auto worker = [&specs, &runJob, &next, &lead, &leadError](bool first) {
+        if (first && lead) {
+            try {
+                lead();
+            } catch (...) {
+                leadError = std::current_exception();
+                next.store(specs.size());
+                return;
+            }
+        }
         for (std::size_t i = next.fetch_add(1); i < specs.size();
              i = next.fetch_add(1))
             runJob(i);
     };
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t t = 0; t < workers; ++t)
-        pool.emplace_back(worker);
-    for (auto& th : pool)
-        th.join();
+    const std::size_t workers =
+        std::min<std::size_t>(threads_, specs.size());
+    if (workers <= 1) {
+        worker(true);
+    } else {
+        std::vector<std::thread> pool;
+        pool.reserve(workers);
+        for (std::size_t t = 0; t < workers; ++t)
+            pool.emplace_back(worker, t == 0);
+        for (auto& th : pool)
+            th.join();
+    }
+    if (leadError)
+        std::rethrow_exception(leadError);
     return results;
 }
 

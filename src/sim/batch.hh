@@ -17,6 +17,7 @@
 #ifndef SL_SIM_BATCH_HH
 #define SL_SIM_BATCH_HH
 
+#include <functional>
 #include <optional>
 #include <string>
 #include <vector>
@@ -40,7 +41,7 @@ struct ExperimentSpec
      * identity (record range) in the label instead. A BatchOptions
      * jobTimeoutSec overrides the hook's wallTimeoutSec.
      */
-    RunHooks hooks;
+    RunHooks hooks{};
 };
 
 /** Outcome of one job. */
@@ -92,6 +93,14 @@ struct BatchOptions
 /**
  * Executes ExperimentSpecs on `threads` workers (0 = defaultJobThreads).
  * run() never throws for per-job failures; inspect JobResult::ok.
+ *
+ * An optional lead task takes one worker's slot: worker 0 runs it to
+ * completion first and then joins the ticket loop (with one worker the
+ * lead runs before every job; with no specs it still runs once). It
+ * adds no thread. The sampled runner leads with its checkpoint pass so
+ * the interval jobs start as their checkpoints land. A lead that throws
+ * stops further tickets; run() rethrows its exception once every
+ * worker has joined.
  */
 class BatchRunner
 {
@@ -101,7 +110,8 @@ class BatchRunner
     unsigned threads() const { return threads_; }
     const BatchOptions& options() const { return opts_; }
 
-    std::vector<JobResult> run(const std::vector<ExperimentSpec>& specs)
+    std::vector<JobResult> run(const std::vector<ExperimentSpec>& specs,
+                               const std::function<void()>& lead = {})
         const;
 
   private:

@@ -194,6 +194,8 @@ runWorkloadsRaw(const RunConfig& cfg,
         traces.push_back(getTrace(w, cfg.traceScale, cfg.seed));
 
     System sys(systemConfigFor(cfg), traces);
+    if (hooks.awaitRestore)
+        hooks.awaitRestore();
 
     // Orchestration hooks (see RunHooks): all three share one config
     // digest, computed over what the run IS, not what the hooks do.

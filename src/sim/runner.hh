@@ -8,6 +8,7 @@
 #ifndef SL_SIM_RUNNER_HH
 #define SL_SIM_RUNNER_HH
 
+#include <functional>
 #include <map>
 #include <memory>
 #include <string>
@@ -182,6 +183,15 @@ struct RunHooks
     std::string snapshotPath;
     /** Restore from this snapshot before running ("" = fresh run). */
     std::string restorePath;
+    /**
+     * Called once the System is built and before the restore is read;
+     * blocks until the restore's file is ready and throws if it never
+     * will be (the sampled runner's checkpoint gate, DESIGN.md §15).
+     * Null = the file is already there. The wait counts in neither
+     * wallTimeoutSec (that budget starts when the run does) nor
+     * BatchRunner's JobResult::wallSeconds.
+     */
+    std::function<void()> awaitRestore;
     /** Abort with SimError("job_timeout") after this much wall clock
      *  (0 = unlimited); timeoutSnapshotPath, when set, captures the hung
      *  run's state first so it can be resumed for postmortem. */

@@ -8,7 +8,6 @@
 
 #include <cstring>
 #include <fstream>
-#include <iterator>
 #include <unordered_map>
 
 #include "cache/cache.hh"
@@ -373,11 +372,17 @@ Cycle
 readSnapshotFile(const std::string& path, const std::string& configDigest,
                  System& sys)
 {
-    std::ifstream in(path, std::ios::binary);
+    // One sized read: open at the end to learn the size.
+    std::ifstream in(path, std::ios::binary | std::ios::ate);
     SL_CHECK(in.good(), "snapshot", "cannot open '" << path << "'");
-    std::vector<std::uint8_t> bytes(
-        (std::istreambuf_iterator<char>(in)),
-        std::istreambuf_iterator<char>());
+    const std::streamsize size = in.tellg();
+    SL_CHECK(size >= 0, "snapshot", "cannot size '" << path << "'");
+    std::vector<std::uint8_t> bytes(static_cast<std::size_t>(size));
+    in.seekg(0);
+    in.read(reinterpret_cast<char*>(bytes.data()), size);
+    SL_CHECK(in.gcount() == size, "snapshot",
+             "short read of '" << path << "': got " << in.gcount()
+                               << " of " << size << " bytes");
 
     SL_CHECK(bytes.size() >= sizeof(SnapshotHeader), "snapshot",
              "'" << path << "' is truncated: " << bytes.size()

@@ -151,6 +151,7 @@ class PairwiseStore
         Addr trigger = 0;
         Addr target = 0;
         std::uint8_t meta = 3; //!< bit 7: valid; low bits: RRPV (0..3)
+        std::uint8_t pad[7] = {}; //!< explicit zero padding
 
         static constexpr std::uint8_t kValid = 0x80;
 

@@ -133,6 +133,7 @@ class TriagePrefetcher : public Prefetcher, public PartitionPolicy
         PC pc = 0;
         Addr lastBlock = 0;
         bool valid = false;
+        std::uint8_t pad[7] = {}; //!< explicit zero padding
     };
 
     struct Lut

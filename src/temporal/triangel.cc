@@ -113,7 +113,8 @@ TriangelPrefetcher::trainConfidence(TuEntry& tu, Addr trigger, Addr target)
             TuEntry& victim_tu = tuFor(slot.pc);
             victim_tu.reuseConf = std::max(0, victim_tu.reuseConf - 1);
         }
-        slot = HsEntry{true, tu.pc, trigger, target};
+        slot = HsEntry{
+            .valid = true, .pc = tu.pc, .trigger = trigger, .target = target};
     }
 
     // Slow decay of pattern confidence so stale confidence unlearns.
@@ -150,7 +151,10 @@ TriangelPrefetcher::mrbInsert(Addr trigger, Addr target)
         if (e.lru < victim->lru)
             victim = &e;
     }
-    *victim = MrbEntry{true, trigger, target, ++mrbTick_};
+    *victim = MrbEntry{.valid = true,
+                       .trigger = trigger,
+                       .target = target,
+                       .lru = ++mrbTick_};
 }
 
 unsigned

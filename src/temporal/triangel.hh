@@ -144,9 +144,11 @@ class TriangelPrefetcher : public Prefetcher, public PartitionPolicy
     {
         PC pc = 0;
         bool valid = false;
+        std::uint8_t pad0[7] = {}; //!< explicit zero padding
         Addr last = 0;       //!< most recent block
         Addr secondLast = 0; //!< one before (lookahead correlation source)
         bool lookahead = false;
+        std::uint8_t pad1[3] = {}; //!< explicit zero padding
         int reuseConf = 8;   //!< 0..15; gate for storing correlations
         int patternConf = 8; //!< 0..15; sets the prefetch degree
         unsigned trainCount = 0;
@@ -156,6 +158,7 @@ class TriangelPrefetcher : public Prefetcher, public PartitionPolicy
     struct HsEntry
     {
         bool valid = false;
+        std::uint8_t pad[7] = {}; //!< explicit zero padding
         PC pc = 0;
         Addr trigger = 0;
         Addr target = 0;
@@ -165,6 +168,7 @@ class TriangelPrefetcher : public Prefetcher, public PartitionPolicy
     struct MrbEntry
     {
         bool valid = false;
+        std::uint8_t pad[7] = {}; //!< explicit zero padding
         Addr trigger = 0;
         Addr target = 0;
         std::uint64_t lru = 0;

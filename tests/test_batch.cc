@@ -2,20 +2,29 @@
  * @file
  * Registry and batch-runner tests: every registered prefetcher
  * constructs by name and round-trips it, unknown names fail loudly,
- * parallel batches are bit-identical to serial execution, and a failing
- * job reports its SimError without killing siblings.
+ * parallel batches are bit-identical to serial execution, a failing
+ * job reports its SimError without killing siblings, a lead task runs
+ * once ahead of its worker's jobs, and a job's clock leaves out its
+ * wait for input.
  */
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
+#include <chrono>
+#include <mutex>
+#include <stdexcept>
 #include <string>
+#include <thread>
+#include <utility>
 #include <vector>
 
 #include "common/error.hh"
 #include "prefetch/registry.hh"
 #include "sim/batch.hh"
 #include "sim/runner.hh"
+#include "test_util.hh"
 #include "trace/workloads.hh"
 
 namespace sl
@@ -235,6 +244,99 @@ TEST(BatchRunner, UnknownWorkloadBecomesFailedJobNotCrash)
     ASSERT_FALSE(jobs[0].ok);
     EXPECT_EQ(jobs[0].error->component(), "batch");
     EXPECT_TRUE(jobs[1].ok);
+}
+
+TEST(BatchRunner, LeadTaskRunsOnceBeforeItsWorker)
+{
+    clearTraceCache();
+    const auto reference = BatchRunner(2).run(smallBatch());
+
+    for (const unsigned threads : {1u, 2u}) {
+        // Each job records, before its run, which thread it is on and
+        // whether the lead had finished by then.
+        std::mutex mu;
+        std::vector<std::pair<std::thread::id, bool>> seen;
+        std::atomic<bool> leadDone{false};
+        std::thread::id leadThread;
+        unsigned leadRuns = 0;
+        auto specs = smallBatch();
+        for (auto& s : specs)
+            s.hooks.awaitRestore = [&] {
+                std::lock_guard<std::mutex> lock(mu);
+                seen.emplace_back(std::this_thread::get_id(),
+                                  leadDone.load());
+            };
+        const auto jobs = BatchRunner(threads).run(specs, [&] {
+            ++leadRuns;
+            leadThread = std::this_thread::get_id();
+            leadDone = true;
+        });
+
+        EXPECT_EQ(leadRuns, 1u) << threads << " threads";
+        ASSERT_EQ(seen.size(), specs.size());
+        for (const auto& [tid, done] : seen) {
+            if (threads == 1) {
+                EXPECT_EQ(tid, leadThread);
+            }
+            if (tid == leadThread) {
+                EXPECT_TRUE(done) << "a job ran on the lead's worker "
+                                     "before the lead finished";
+            }
+        }
+        ASSERT_EQ(jobs.size(), reference.size());
+        for (std::size_t i = 0; i < jobs.size(); ++i) {
+            ASSERT_TRUE(jobs[i].ok) << specs[i].label;
+            EXPECT_EQ(jobs[i].result.cores[0].ipc,
+                      reference[i].result.cores[0].ipc);
+            EXPECT_EQ(jobs[i].result.dramBytes,
+                      reference[i].result.dramBytes);
+        }
+    }
+
+    // With nothing to run, the lead still runs exactly once.
+    unsigned emptyRuns = 0;
+    EXPECT_TRUE(BatchRunner(2).run({}, [&] { ++emptyRuns; }).empty());
+    EXPECT_EQ(emptyRuns, 1u);
+
+    // A failing lead surfaces from run() itself, not as a job failure.
+    for (const unsigned threads : {1u, 2u})
+        EXPECT_THROW(BatchRunner(threads).run(smallBatch(),
+                                              [] {
+                                                  throw std::runtime_error(
+                                                      "lead failed");
+                                              }),
+                     std::runtime_error);
+}
+
+TEST(BatchRunner, JobClockExcludesRestoreWait)
+{
+    // A job whose input is late sits in awaitRestore. The wait is not
+    // the job's work: a timeout shorter than the wait must not trip,
+    // and wallSeconds must not include it. The run itself is a small
+    // fraction of the timeout, even under sanitizers.
+    test::ScratchDir dir;
+    RunConfig cfg;
+    cfg.traceScale = kTinyScale / 4;
+    ExperimentSpec spec{"late", cfg, {"spec06_bzip2"}};
+    static constexpr double kWaitSec = 1.0;
+    spec.hooks.awaitRestore = [] {
+        std::this_thread::sleep_for(
+            std::chrono::duration<double>(kWaitSec));
+    };
+    BatchOptions opts;
+    opts.jobTimeoutSec = kWaitSec / 2;
+    opts.snapshotDir = dir.path();
+
+    const auto t0 = std::chrono::steady_clock::now();
+    const auto jobs = BatchRunner(1, opts).run({spec});
+    const double outer = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+
+    ASSERT_EQ(jobs.size(), 1u);
+    ASSERT_TRUE(jobs[0].ok) << jobs[0].error->what();
+    EXPECT_GT(jobs[0].wallSeconds, 0.0);
+    EXPECT_LE(jobs[0].wallSeconds, outer - kWaitSec);
 }
 
 TEST(BatchRunner, ThreadsDefaultRespectsEnv)

@@ -4,8 +4,11 @@
  * weighted reassembly math against hand-computed fixtures, profiler
  * partitioning and determinism, seeded k-means behaviour, checkpoint
  * reuse, and the end-to-end guarantees the acceptance criteria name —
- * bit-identical sampled reports across thread counts and across a
- * mid-sweep kill + resume.
+ * bit-identical sampled reports and checkpoint files across thread
+ * counts (the checkpoint pass pipelined into the interval jobs or run
+ * ahead of them), across cold and warm runs, and across a mid-sweep
+ * kill + resume, and a failed checkpoint pass that fails the run
+ * instead of hanging it.
  */
 
 #include <gtest/gtest.h>
@@ -14,6 +17,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -285,6 +289,83 @@ TEST(SamplingRun, DeterministicAcrossThreadCounts)
     EXPECT_GT(one.ipcEstimate, 0.0);
     EXPECT_GT(one.neff, 1.0);
     EXPECT_EQ(one.deterministicJson, three.deterministicJson);
+}
+
+/** Every file in @p dir by name, with its bytes. */
+std::map<std::string, std::string>
+readDir(const std::string& dir)
+{
+    std::map<std::string, std::string> files;
+    for (const auto& e : std::filesystem::directory_iterator(dir)) {
+        std::ifstream in(e.path(), std::ios::binary);
+        std::ostringstream bytes;
+        bytes << in.rdbuf();
+        files[e.path().filename().string()] = bytes.str();
+    }
+    return files;
+}
+
+TEST(SamplingRun, ColdPipelineMatchesSerialAndWarm)
+{
+    // Cold runs, each into its own directory: at 1 thread the
+    // checkpoint pass runs before the intervals, at 2 and 4 the
+    // intervals start as their checkpoints land. They, and a warm rerun
+    // over the last directory, must report the same bytes, and the
+    // cold runs must leave the same checkpoint files.
+    test::ScratchDir root;
+    RunConfig cfg = smallConfig("triangel");
+    SampleOptions opts;
+    opts.intervals = 12;
+    opts.k = 6;
+
+    std::vector<std::string> reports, dirs;
+    for (const unsigned threads : {1u, 2u, 4u}) {
+        opts.threads = threads;
+        opts.checkpointDir = root.path() + "/t" + std::to_string(threads);
+        reports.push_back(
+            runSampled(cfg, "gap_bfs", opts).deterministicJson);
+        dirs.push_back(opts.checkpointDir);
+    }
+    reports.push_back(
+        runSampled(cfg, "gap_bfs", opts).deterministicJson);
+
+    for (std::size_t i = 1; i < reports.size(); ++i)
+        EXPECT_EQ(reports[0], reports[i]) << "run " << i;
+    const auto files = readDir(dirs[0]);
+    ASSERT_FALSE(files.empty());
+    for (std::size_t i = 1; i < dirs.size(); ++i)
+        EXPECT_TRUE(readDir(dirs[i]) == files) << dirs[i];
+}
+
+TEST(SamplingRun, CheckpointFailureFailsFast)
+{
+    // The checkpoint directory cannot be created: its parent is a
+    // regular file. Interval jobs already waiting for a checkpoint must
+    // be released, and runSampled must throw the checkpoint pass's own
+    // error rather than a waiting job's.
+    test::ScratchDir dir;
+    const std::string file = dir.path() + "/not_a_dir";
+    std::ofstream(file) << "x";
+    RunConfig cfg = smallConfig();
+    SampleOptions opts;
+    opts.intervals = 12;
+    opts.k = 6;
+    opts.checkpointDir = file + "/ckpt";
+
+    for (const unsigned threads : {1u, 2u}) {
+        opts.threads = threads;
+        try {
+            runSampled(cfg, "spec06_mcf", opts);
+            ADD_FAILURE() << "runSampled succeeded at " << threads
+                          << " threads";
+        } catch (const SimError& e) {
+            EXPECT_EQ(e.component(), "sample_checkpoint");
+            EXPECT_NE(std::string(e.what()).find(
+                          "cannot create checkpoint directory"),
+                      std::string::npos)
+                << e.what();
+        }
+    }
 }
 
 TEST(SamplingRun, ResumedSweepIsByteIdentical)
