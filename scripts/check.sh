@@ -9,7 +9,6 @@
 #   scripts/check.sh telemetry  # instrumented run + export validation
 #   scripts/check.sh resilience # hang-timeout kill + manifest resume
 #   scripts/check.sh multicore  # 2-core ASan smoke + single-core digest gate
-#   scripts/check.sh tracecache # persistent trace cache: cold/warm/corruption
 #   scripts/check.sh sampling   # sampled runs: fidelity + speedup + resume
 #   scripts/check.sh hermetic   # ctest -j --schedule-random, 10 cold runs
 set -euo pipefail
@@ -168,51 +167,6 @@ if failures:
 EOF
 }
 
-# Trace-cache stage (DESIGN.md §13): a cold run must publish a cache
-# file, a warm run must mmap it and produce byte-identical output, a
-# cache-less run must match both (the cache may never change results),
-# and a corrupted file must be detected, reported, regenerated, and
-# healed in place.
-tracecache() {
-    local dir="$1"
-    echo "== trace cache: cold/warm/corruption (${dir}) =="
-    cmake --build "${dir}" --target sl_run -j
-    local cache="${dir}/trace_cache_check"
-    rm -rf "${cache}"
-    local run=("${dir}/src/sim/sl_run" --l2 streamline --scale 0.05
-               gap_bfs)
-    SL_DUMP_STATS=1 SL_TRACE_CACHE="${cache}" "${run[@]}" \
-        > "${dir}/tc_cold.out"
-    test -s "${cache}"/gap_bfs_*.sltc
-    SL_DUMP_STATS=1 SL_TRACE_CACHE="${cache}" "${run[@]}" \
-        > "${dir}/tc_warm.out"
-    cmp "${dir}/tc_cold.out" "${dir}/tc_warm.out"
-    SL_DUMP_STATS=1 "${run[@]}" > "${dir}/tc_off.out"
-    cmp "${dir}/tc_cold.out" "${dir}/tc_off.out"
-    echo "cold == warm == cache-less (stats bit-identical)"
-
-    # Flip one payload byte: the next run must note the CRC failure on
-    # stderr, regenerate transparently, and republish a healthy file.
-    python3 - "${cache}"/gap_bfs_*.sltc <<'EOF'
-import sys
-with open(sys.argv[1], "r+b") as f:
-    f.seek(200)
-    b = f.read(1)[0]
-    f.seek(200)
-    f.write(bytes([b ^ 0x55]))
-EOF
-    SL_DUMP_STATS=1 SL_TRACE_CACHE="${cache}" "${run[@]}" \
-        > "${dir}/tc_heal.out" 2> "${dir}/tc_heal.err"
-    grep -q 'trace cache:.*regenerating' "${dir}/tc_heal.err"
-    cmp "${dir}/tc_cold.out" "${dir}/tc_heal.out"
-    SL_DUMP_STATS=1 SL_TRACE_CACHE="${cache}" "${run[@]}" \
-        > "${dir}/tc_rewarm.out" 2> "${dir}/tc_rewarm.err"
-    test ! -s "${dir}/tc_rewarm.err"
-    cmp "${dir}/tc_cold.out" "${dir}/tc_rewarm.out"
-    rm -rf "${cache}"
-    echo "corrupt file detected, regenerated, and healed in place"
-}
-
 # Resilience stage: a sweep job armed with a lost-request fault and a
 # wall-clock budget far below its runtime. The job timeout must kill it
 # (snapshotting the hung state first) and journal it as failed; the
@@ -222,7 +176,9 @@ EOF
 # simulating anything. (A request the fault actually eats is caught by
 # the deadlock detector as an immediate SimError -- the fault campaign
 # covers that path -- so the rate here is armed-but-tiny and the wedge
-# comes from the wall budget.)
+# comes from the wall budget.) Last, a sampled run whose checkpoint
+# directory cannot be created must exit 1 and leave the repro bundle its
+# error message names.
 resilience() {
     local dir="$1"
     echo "== resilience: hang timeout + manifest resume (${dir}) =="
@@ -261,6 +217,21 @@ assert doc["jobs"] and all(j["ok"] for j in doc["jobs"]), doc
 print(f"resilience ok: {len(doc['jobs'])} job(s) green after resume")
 EOF
     rm -f sl_snapshot_hang_job0.bin
+
+    local blocker="${dir}/resilience_not_a_dir"
+    local bundle="${dir}/resilience_bundle.txt"
+    rm -f "${bundle}"
+    echo x > "${blocker}"
+    if SL_REPRO_PATH="${bundle}" "${dir}/src/sim/sl_run" --l2 streamline \
+        --scale 0.05 --sample --sample-dir "${blocker}/ckpt" spec06_mcf \
+        > "${dir}/resilience4.out" 2>&1; then
+        echo "FAIL: sampled run with a blocked checkpoint dir exited 0"
+        exit 1
+    fi
+    grep -q "repro bundle: ${bundle}" "${dir}/resilience4.out"
+    grep -q 'error.component = sample_checkpoint' "${bundle}"
+    rm -f "${blocker}"
+    echo "failed sampled run left its repro bundle"
 }
 
 # Telemetry stage: a short instrumented run through the sl_run CLI, then
@@ -435,7 +406,6 @@ case "${MODE}" in
     cmake -B build-asan -S . -DSL_SANITIZE=ON
     multicore build build-asan
     ;;
-  tracecache) cmake -B build -S .; tracecache build ;;
   hermetic) cmake -B build -S .; hermetic build ;;
   sampling)
     cmake -B build -S .
@@ -447,14 +417,13 @@ case "${MODE}" in
     bench_smoke build
     telemetry build
     resilience build
-    tracecache build
     run_mode asan+ubsan build-asan -DSL_SANITIZE=ON
     multicore build build-asan
     sampling build build-asan
     hermetic build
     simspeed build
     ;;
-  *) echo "usage: $0 [plain|sanitize|simspeed|telemetry|resilience|multicore|tracecache|sampling|hermetic|all]" >&2
+  *) echo "usage: $0 [plain|sanitize|simspeed|telemetry|resilience|multicore|sampling|hermetic|all]" >&2
      exit 2 ;;
 esac
 

@@ -366,7 +366,7 @@ runSampled(const RunConfig& cfg, const std::string& workload,
         si.weight = sel.weights[pos] /
                     static_cast<double>(repsPerCluster[pos]);
         si.clusterSize = sel.clusterSizes[pos];
-        if (jr.attempts == 0) {
+        if (jr.resumed) {
             // Manifest-resumed: the RunResult was never rebuilt, only
             // its journalled JSON fragment survives. Pull the fenced
             // counters back out of it.
@@ -534,8 +534,8 @@ runSampled(const RunConfig& cfg, const std::string& workload,
         << "}";
     rep.deterministicJson = det.str();
 
-    // Bench-style document: the standard jobs array (wall clock and
-    // attempts included) with the deterministic object appended.
+    // Bench-style document: the standard jobs array (wall clock
+    // included) with the deterministic object appended.
     std::string doc = batchJson("sampled", specs, results,
                                 runner.threads(), wall);
     doc.pop_back(); // trailing '}'

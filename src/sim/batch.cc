@@ -66,12 +66,13 @@ secondsSince(std::chrono::steady_clock::time_point t0)
 }
 
 /**
- * One attempt-limited job execution. The per-job timeout flows through
- * RunHooks: over-budget jobs snapshot themselves first (so a hung run is
- * resumable for postmortem), then fail with SimError("job_timeout") and
- * take the same retry/journal path as any other failure. Time spent in
- * hooks.awaitRestore is taken off wallSeconds: the job clock measures
- * the job, not the wait for its input.
+ * One job execution. The simulator is deterministic, so a failed job is
+ * not retried: it would fail again bit for bit. The per-job timeout
+ * flows through RunHooks: over-budget jobs snapshot themselves first (so
+ * a hung run is resumable for postmortem), then fail with
+ * SimError("job_timeout") and take the same journal path as any other
+ * failure. Time spent in hooks.awaitRestore is taken off wallSeconds:
+ * the job clock measures the job, not the wait for its input.
  */
 JobResult
 runOne(const ExperimentSpec& spec, const BatchOptions& opts,
@@ -101,33 +102,19 @@ runOne(const ExperimentSpec& spec, const BatchOptions& opts,
             "sl_snapshot_hang_job" + std::to_string(job_index) + ".bin";
     }
 
-    const unsigned attempts = 1 + opts.maxRetries;
-    for (unsigned attempt = 0; attempt < attempts; ++attempt) {
-        if (attempt > 0 && opts.retryBackoffSec > 0)
-            std::this_thread::sleep_for(std::chrono::duration<double>(
-                opts.retryBackoffSec *
-                static_cast<double>(1u << (attempt - 1))));
-        ++jr.attempts;
-        try {
-            jr.result =
-                runWorkloadsRaw(spec.config, spec.workloads, hooks);
-            jr.ok = true;
-            jr.error.reset();
-            jr.reproBundle.clear();
-            break;
-        } catch (const SimError& err) {
-            jr.error = err;
-            jr.reproBundle =
-                formatReproBundle(spec.config, spec.workloads, err);
-        } catch (const std::exception& e) {
-            // Non-simulation failures (unknown workload, bad argument)
-            // are wrapped so every failure travels the same path.
-            SimError err("batch", kNoErrorCycle, e.what(),
-                         std::string("[batch] ") + e.what());
-            jr.error = err;
-            jr.reproBundle =
-                formatReproBundle(spec.config, spec.workloads, err);
-        }
+    try {
+        jr.result = runWorkloadsRaw(spec.config, spec.workloads, hooks);
+        jr.ok = true;
+    } catch (const SimError& err) {
+        jr.error = err;
+        jr.reproBundle = formatReproBundle(spec.config, spec.workloads, err);
+    } catch (const std::exception& e) {
+        // Non-simulation failures (unknown workload, bad argument) are
+        // wrapped so every failure travels the same path.
+        SimError err("batch", kNoErrorCycle, e.what(),
+                     std::string("[batch] ") + e.what());
+        jr.error = err;
+        jr.reproBundle = formatReproBundle(spec.config, spec.workloads, err);
     }
     jr.wallSeconds = secondsSince(t0) - waited;
     return jr;
@@ -231,6 +218,7 @@ BatchRunner::run(const std::vector<ExperimentSpec>& specs_in,
             if (auto it = prior.find(digests[i]);
                 it != prior.end() && it->second.first) {
                 results[i].ok = true;
+                results[i].resumed = true;
                 results[i].cachedJson = it->second.second;
                 return; // already journalled ok: skip, splice its JSON
             }

@@ -52,7 +52,7 @@ struct JobResult
     std::optional<SimError> error; //!< set when !ok
     std::string reproBundle;       //!< formatReproBundle() text when !ok
     double wallSeconds = 0;
-    unsigned attempts = 0;         //!< run attempts (0: served from manifest)
+    bool resumed = false;          //!< served from the manifest, not run
     /**
      * Manifest-resumed jobs carry the journalled toJson(spec, jr)
      * fragment verbatim (the RunResult itself is not journalled);
@@ -85,8 +85,6 @@ struct BatchOptions
      * journalled as failed, not wedged forever.
      */
     double jobTimeoutSec = 0;
-    unsigned maxRetries = 0;   //!< extra attempts for a failed job
-    double retryBackoffSec = 0; //!< sleep before retry k: backoff * 2^(k-1)
     std::string snapshotDir;   //!< where hang snapshots land ("" = cwd)
 };
 

@@ -159,6 +159,21 @@ reproBundlePath()
     return "sl_repro_bundle.txt";
 }
 
+namespace
+{
+
+/** Best-effort write of a tripped run's bundle to reproBundlePath(). */
+void
+writeReproBundle(const RunConfig& cfg,
+                 const std::vector<std::string>& workloads,
+                 const SimError& err)
+{
+    if (std::ofstream out(reproBundlePath()); out)
+        out << formatReproBundle(cfg, workloads, err);
+}
+
+} // namespace
+
 std::string
 snapshotDigest(const RunConfig& cfg,
                const std::vector<std::string>& workloads)
@@ -332,8 +347,7 @@ runWorkloads(const RunConfig& cfg,
     } catch (const SimError& err) {
         // Serialize everything needed to replay the failure, then let
         // the error propagate to the caller.
-        if (std::ofstream out(reproBundlePath()); out)
-            out << formatReproBundle(cfg, workloads, err);
+        writeReproBundle(cfg, workloads, err);
         throw;
     }
 }
@@ -377,11 +391,11 @@ irregularSubset(double scale)
 
     std::vector<std::string> subset;
     for (std::size_t i = 0; i < names.size(); ++i) {
-        for (const JobResult* j : {&jobs[2 * i], &jobs[2 * i + 1]}) {
-            if (!j->ok) {
-                if (std::ofstream out(reproBundlePath()); out)
-                    out << j->reproBundle;
-                throw *j->error;
+        for (const std::size_t k : {2 * i, 2 * i + 1}) {
+            if (!jobs[k].ok) {
+                writeReproBundle(specs[k].config, specs[k].workloads,
+                                 *jobs[k].error);
+                throw *jobs[k].error;
             }
         }
         const double ipc_base = jobs[2 * i].result.cores[0].ipc;
@@ -440,8 +454,6 @@ printUsage(std::ostream& os)
           "--sweep)\n"
           "  --job-timeout SEC       per-job wall-clock budget; hung "
           "jobs snapshot then fail\n"
-          "  --retries N             retry failed sweep jobs up to N "
-          "times (implies --sweep)\n"
           "sampled runs (DESIGN.md §15):\n"
           "  --sample                profile, cluster, checkpoint, and "
           "simulate K\n"
@@ -493,6 +505,23 @@ printNames(std::ostream& os, const char* level, int mask)
     os << "\n";
 }
 
+/** --sample: one workload's estimate line plus its ==JSON== document. */
+void
+printSampled(const std::string& w, const SampledReport& rep)
+{
+    const double frac =
+        rep.totalEvalInstructions > 0
+            ? static_cast<double>(rep.sampledInstructions) /
+                  static_cast<double>(rep.totalEvalInstructions)
+            : 0;
+    std::cout << "sampled " << w << ": ipc=" << rep.ipcEstimate << " +/-"
+              << rep.ipcCi95 << " mpki=" << rep.mpki
+              << " coverage=" << rep.coverage
+              << " (k=" << rep.intervals.size() << ", n_eff=" << rep.neff
+              << ", detailed " << 100.0 * frac << "% of eval)\n";
+    std::cout << "==JSON==\n" << rep.fullJson << "\n==END-JSON==\n";
+}
+
 /**
  * --sweep: one single-core batch job per workload, optionally journalled
  * to a manifest so an interrupted sweep resumes where it stopped.
@@ -511,7 +540,15 @@ runSweep(const RunConfig& cfg, const std::vector<std::string>& workloads,
 
     BatchRunner runner(0, opts);
     const auto t0 = std::chrono::steady_clock::now();
-    const std::vector<JobResult> jobs = runner.run(specs);
+    std::vector<JobResult> jobs;
+    try {
+        jobs = runner.run(specs);
+    } catch (const SimError& err) {
+        // Job failures come back in JobResult; what escapes is the
+        // sweep's own, such as a manifest that cannot be opened.
+        writeReproBundle(cfg, workloads, err);
+        throw;
+    }
     const double wall = std::chrono::duration<double>(
                             std::chrono::steady_clock::now() - t0)
                             .count();
@@ -520,18 +557,14 @@ runSweep(const RunConfig& cfg, const std::vector<std::string>& workloads,
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const JobResult& j = jobs[i];
         std::cout << "job " << specs[i].label << ": ";
-        if (j.ok && j.attempts == 0) {
+        if (j.resumed) {
             std::cout << "ok (from manifest)\n";
         } else if (j.ok) {
-            std::cout << "ok ipc=" << j.result.meanIpc();
-            if (j.attempts > 1)
-                std::cout << " (attempt " << j.attempts << ")";
-            std::cout << "\n";
+            std::cout << "ok ipc=" << j.result.meanIpc() << "\n";
         } else {
             all_ok = false;
-            std::cout << "FAILED [" << j.error->component() << "] after "
-                      << j.attempts << " attempt(s): "
-                      << firstLine(j.error->what()) << "\n";
+            std::cout << "FAILED [" << j.error->component()
+                      << "]: " << firstLine(j.error->what()) << "\n";
         }
     }
     std::cout << "==JSON==\n"
@@ -773,12 +806,6 @@ runnerMain(int argc, char** argv)
                 return 2;
             batch_opts.jobTimeoutSec = std::strtod(v, nullptr);
             hooks.wallTimeoutSec = batch_opts.jobTimeoutSec;
-        } else if (arg == "--retries") {
-            if (!(v = value(i, "--retries")))
-                return 2;
-            sweep = true;
-            batch_opts.maxRetries =
-                static_cast<unsigned>(std::strtoul(v, nullptr, 10));
         } else if (arg == "--sample") {
             sample = true;
         } else if (arg == "--sample-report") {
@@ -870,27 +897,16 @@ runnerMain(int argc, char** argv)
             sample_opts.manifestPath = batch_opts.manifestPath;
             sample_opts.jobTimeoutSec = batch_opts.jobTimeoutSec;
             for (const auto& w : workloads) {
-                if (sample_report) {
-                    std::cout << sampleReportJson(c, w, sample_opts)
-                              << "\n";
-                    continue;
+                try {
+                    if (sample_report)
+                        std::cout << sampleReportJson(c, w, sample_opts)
+                                  << "\n";
+                    else
+                        printSampled(w, runSampled(c, w, sample_opts));
+                } catch (const SimError& err) {
+                    writeReproBundle(c, {w}, err);
+                    throw;
                 }
-                const SampledReport rep = runSampled(c, w, sample_opts);
-                const double frac =
-                    rep.totalEvalInstructions > 0
-                        ? static_cast<double>(rep.sampledInstructions) /
-                              static_cast<double>(
-                                  rep.totalEvalInstructions)
-                        : 0;
-                std::cout << "sampled " << w
-                          << ": ipc=" << rep.ipcEstimate << " +/-"
-                          << rep.ipcCi95 << " mpki=" << rep.mpki
-                          << " coverage=" << rep.coverage
-                          << " (k=" << rep.intervals.size()
-                          << ", n_eff=" << rep.neff << ", detailed "
-                          << 100.0 * frac << "% of eval)\n";
-                std::cout << "==JSON==\n"
-                          << rep.fullJson << "\n==END-JSON==\n";
             }
             return 0;
         }
@@ -907,8 +923,7 @@ runnerMain(int argc, char** argv)
         try {
             res = runWorkloadsRaw(cfg, workloads, hooks);
         } catch (const SimError& err) {
-            if (std::ofstream out(reproBundlePath()); out)
-                out << formatReproBundle(cfg, workloads, err);
+            writeReproBundle(cfg, workloads, err);
             throw;
         }
         for (std::size_t c = 0; c < res.cores.size(); ++c) {

@@ -11,6 +11,7 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/error.hh"
 #include "common/event.hh"
@@ -509,6 +510,57 @@ TEST(ReproBundle, WrittenWhenARunTrips)
     EXPECT_NE(bundle.find("fault.lose_request_rate = 1"),
               std::string::npos);
     ::unsetenv("SL_REPRO_PATH");
+}
+
+/**
+ * Run sl_run with @p args, where "BLOCKED" stands for a path under a
+ * regular file (no directory can be created there); expect exit 1 and
+ * return the repro bundle the run left behind ("" if none).
+ */
+std::string
+bundleOfFailedSlRun(std::vector<std::string> args)
+{
+    const test::ScratchDir dir;
+    const std::string path = dir.file("repro_bundle.txt");
+    const std::string blocker = dir.file("not_a_dir");
+    std::ofstream(blocker) << "x";
+    std::vector<char*> argv;
+    for (auto& a : args) {
+        if (a == "BLOCKED")
+            a = blocker + "/sub";
+        argv.push_back(a.data());
+    }
+    ::setenv("SL_REPRO_PATH", path.c_str(), 1);
+    EXPECT_EQ(runnerMain(static_cast<int>(argv.size()), argv.data()), 1);
+    ::unsetenv("SL_REPRO_PATH");
+    std::ifstream in(path);
+    std::stringstream ss;
+    ss << in.rdbuf();
+    return ss.str();
+}
+
+TEST(ReproBundle, WrittenWhenASampledRunFails)
+{
+    // The checkpoint pass cannot create its directory; sl_run must
+    // leave the bundle its error message points at.
+    clearTraceCache();
+    const std::string bundle = bundleOfFailedSlRun(
+        {"sl_run", "--l2", "streamline", "--scale", "0.05", "--sample",
+         "--sample-intervals", "12", "--sample-k", "6", "--sample-dir",
+         "BLOCKED", "spec06_mcf"});
+    EXPECT_NE(bundle.find("error.component = sample_checkpoint"),
+              std::string::npos)
+        << bundle;
+    EXPECT_NE(bundle.find("spec06_mcf"), std::string::npos);
+}
+
+TEST(ReproBundle, WrittenWhenASweepCannotOpenItsManifest)
+{
+    const std::string bundle = bundleOfFailedSlRun(
+        {"sl_run", "--scale", "0.05", "--manifest", "BLOCKED",
+         "spec06_mcf"});
+    EXPECT_NE(bundle.find("error.component = batch"), std::string::npos)
+        << bundle;
 }
 
 } // namespace

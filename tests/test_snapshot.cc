@@ -415,13 +415,13 @@ TEST(SweepManifest, ResumeSkipsFinishedJobsAndReplaysJson)
     ASSERT_EQ(first.size(), 2u);
     EXPECT_TRUE(first[0].ok);
     EXPECT_TRUE(first[1].ok);
-    EXPECT_GE(first[0].attempts, 1u);
+    EXPECT_FALSE(first[0].resumed);
 
     const auto second = BatchRunner(1, opts).run(specs);
     ASSERT_EQ(second.size(), 2u);
     for (std::size_t i = 0; i < 2; ++i) {
         EXPECT_TRUE(second[i].ok);
-        EXPECT_EQ(second[i].attempts, 0u) << "job " << i << " reran";
+        EXPECT_TRUE(second[i].resumed) << "job " << i << " reran";
         EXPECT_FALSE(second[i].cachedJson.empty());
         // The spliced JSON is byte-identical to the first run's.
         EXPECT_EQ(toJson(specs[i], second[i]), toJson(specs[i], first[i]));
@@ -440,13 +440,13 @@ TEST(SweepManifest, FailedJobsRerunOnResume)
     const auto first = BatchRunner(1, opts).run(specs);
     ASSERT_EQ(first.size(), 1u);
     EXPECT_FALSE(first[0].ok);
-    EXPECT_GE(first[0].attempts, 1u);
+    EXPECT_FALSE(first[0].resumed);
 
     // Journalled as failed: the resume must try again, not replay it.
     const auto second = BatchRunner(1, opts).run(specs);
     ASSERT_EQ(second.size(), 1u);
     EXPECT_FALSE(second[0].ok);
-    EXPECT_GE(second[0].attempts, 1u);
+    EXPECT_FALSE(second[0].resumed);
 }
 
 TEST(SweepManifest, MalformedLinesAreSkippedNotFatal)
@@ -463,18 +463,7 @@ TEST(SweepManifest, MalformedLinesAreSkippedNotFatal)
     const auto rs = BatchRunner(1, opts).run({spec("mcf", "spec06_mcf")});
     ASSERT_EQ(rs.size(), 1u);
     EXPECT_TRUE(rs[0].ok);
-    EXPECT_GE(rs[0].attempts, 1u); // ran, nothing usable to resume from
-}
-
-TEST(SweepManifest, RetriesBoundAttempts)
-{
-    BatchOptions opts;
-    opts.maxRetries = 2; // no manifest needed for retry accounting
-    const auto rs =
-        BatchRunner(1, opts).run({spec("bogus", "no_such_workload")});
-    ASSERT_EQ(rs.size(), 1u);
-    EXPECT_FALSE(rs[0].ok);
-    EXPECT_EQ(rs[0].attempts, 3u); // 1 initial + 2 retries
+    EXPECT_FALSE(rs[0].resumed); // ran, nothing usable to resume from
 }
 
 // ---------- job timeouts ----------

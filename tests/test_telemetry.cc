@@ -375,8 +375,9 @@ TEST(TelemetryRun, IntervalSeriesIsContiguousAndNonTrivial)
         const IntervalRecord& rec = t.intervals[i];
         EXPECT_EQ(rec.index, i);
         EXPECT_GT(rec.endCycle, rec.startCycle);
-        if (i > 0)
+        if (i > 0) {
             EXPECT_EQ(rec.startCycle, t.intervals[i - 1].endCycle);
+        }
         retired += rec.delta.retired;
         dram_bytes += rec.delta.dramBytes;
         nonzero_ipc += rec.ipc() > 0;
