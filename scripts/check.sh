@@ -5,7 +5,7 @@
 #   scripts/check.sh            # all modes
 #   scripts/check.sh plain      # plain build only
 #   scripts/check.sh sanitize   # sanitizer build only
-#   scripts/check.sh simspeed   # simulator-speed gate (relative + hard floors)
+#   scripts/check.sh perf       # perfbench: change vs parent, same host
 #   scripts/check.sh telemetry  # instrumented run + export validation
 #   scripts/check.sh resilience # hang-timeout kill + manifest resume
 #   scripts/check.sh multicore  # 2-core ASan smoke + single-core digest gate
@@ -55,115 +55,85 @@ print(f"bench smoke ok: {len(doc['jobs'])} jobs, "
 EOF
 }
 
-# Simulator-speed gate: run bench_simspeed on a tiny matrix, parse its
-# JSON, and fold the per-config and per-cell throughput into
-# BENCH_simspeed.json at the repo root (perf trajectory across PRs).
-# Regressions below SL_SIMSPEED_FLOOR x the recorded baseline FAIL the
-# check. The default floor is 0.75: the tiny-scale cells are sub-second
-# and back-to-back identical-binary runs disperse by ~12% on shared
-# hardware, so a tighter floor flags noise, not regressions (tighten
-# via SL_SIMSPEED_FLOOR on a quiet dedicated machine; the telemetry
-# stage checks its own disabled-cost claim). The gap_bfs cells also
-# carry hard absolute floors that survive baseline refreshes.
-simspeed() {
-    local dir="$1"
-    echo "== simspeed: throughput gate (${dir}) =="
-    cmake --build "${dir}" --target bench_simspeed -j
-    local out="${dir}/bench_simspeed.out"
-    SL_BENCH_SCALE="${SL_SIMSPEED_SCALE:-0.05}" SL_JOBS=1 \
-        "${dir}/bench/bench_simspeed" > "${out}"
-    SL_SIMSPEED_FLOOR="${SL_SIMSPEED_FLOOR:-0.75}" \
-        python3 - "${out}" BENCH_simspeed.json <<'EOF'
-import json, os, sys
-text = open(sys.argv[1]).read()
-body = text.split("==JSON==")[1].split("==END-JSON==")[0]
-doc = json.loads(body)
-configs = {n["config"]: n for n in doc["notes"]
-           if n["kind"] == "simspeed_config"}
-cells = [n for n in doc["notes"] if n["kind"] == "simspeed_cell"]
-mc = [n for n in doc["notes"] if n["kind"] == "simspeed_multicore"]
-tele = [n for n in doc["notes"] if n["kind"] == "simspeed_telemetry"]
-assert configs, "no simspeed_config notes in bench output"
-assert cells, "no simspeed_cell notes in bench output"
-assert tele, "no simspeed_telemetry note in bench output"
-path = sys.argv[2]
-try:
-    snap = json.load(open(path))
-except (FileNotFoundError, json.JSONDecodeError):
-    snap = {}
-prev = snap.get("current", {}).get("kcycles_per_sec", {})
-prev_cells = snap.get("current", {}).get("cell_kcycles_per_sec", {})
-prev_mc = snap.get("current", {}).get("multicore_kcycles_per_sec", {})
-prev_workloads = snap.get("current", {}).get("workloads", [])
-cur = {c: n["sim_kcycles_per_sec"] for c, n in configs.items()}
-cur_cells = {c["config"]: {} for c in cells}
-for c in cells:
-    cur_cells[c["config"]][c["workload"]] = c["sim_kcycles_per_sec"]
-cur_workloads = sorted({c["workload"] for c in cells})
-# 2-core cells exercise the shared-memory path (scheduled DRAM, LLC
-# arbitration, pressure probe); tracked per config like 1-core cells.
-cur_mc = {n["config"]: n["sim_kcycles_per_sec"] for n in mc}
-snap["current"] = {
-    "scale": float(text.split("scale=")[1].split()[0]),
-    "workloads": cur_workloads,
-    "kcycles_per_sec": cur,
-    "retired_mips": {c: n["retired_mips"] for c, n in configs.items()},
-    "metadata_ops_per_sec": {c: n.get("metadata_ops_per_sec", 0)
-                             for c, n in configs.items()},
-    "cell_kcycles_per_sec": cur_cells,
-    "multicore_kcycles_per_sec": cur_mc,
-    "telemetry": {
-        "off_kcycles_per_sec": tele[0]["off_kcycles_per_sec"],
-        "on_kcycles_per_sec": tele[0]["on_kcycles_per_sec"],
-        "enabled_overhead_pct": tele[0]["enabled_overhead_pct"],
-    },
-}
-FLOOR = float(os.environ.get("SL_SIMSPEED_FLOOR", "0.75"))
+# Perf stage: perfbench, the repository benchmark, on this host, parent
+# against change. The parent is HEAD when src/ or perfbench/ has
+# uncommitted edits and HEAD~1 otherwise. It is extracted with git
+# archive into build/perf-base, whose own perfbench/run.py builds and
+# runs it. Each workload runs 5 interleaved pairs at 10 s (seeds 1-5,
+# parent first on odd seeds), so host-speed drift lands on both sides.
+# A run that exits non-zero, is not correct or has a failed cell fails
+# the stage, as does a median change/parent ratio above 1.10 for wall_s
+# or peak_rss_mb. A sim_digest difference is reported, not failed:
+# model changes move it by design, and the golden digests gate exact
+# single-core behaviour.
+perf() {
+    local ref=HEAD~1
+    if [ -n "$(git status --porcelain -- src perfbench)" ]; then
+        ref=HEAD
+    fi
+    local sha
+    if ! sha="$(git rev-parse --verify -q "${ref}^{commit}")"; then
+        echo "FAIL: perf: cannot resolve the parent commit ${ref}" \
+             "(a shallow clone?)"
+        exit 1
+    fi
+    echo "== perf: perfbench pairs, working tree vs ${ref} = ${sha} =="
+    local base=build/perf-base
+    rm -rf "${base}"
+    mkdir -p "${base}"
+    git archive "${sha}" | tar -x -C "${base}"
+    python3 - "${base}/perfbench/run.py" <<'EOF'
+import json, statistics, subprocess, sys
+RUNNERS = {"parent": sys.argv[1], "change": "perfbench/run.py"}
+WORKLOADS = ("graph_storm", "pointer_chase", "shared_2core", "sampled_lane")
+GATED = ("wall_s", "peak_rss_mb")
+BOUND = 1.10
+
+def run(side, workload, seed):
+    cmd = ["python3", RUNNERS[side], "--workload", workload,
+           "--seed", str(seed), "--seconds", "10", "--trace", "0"]
+    p = subprocess.run(cmd, stdout=subprocess.PIPE, text=True)
+    lines = p.stdout.strip().splitlines()
+    try:
+        doc = json.loads(lines[-1])
+    except (IndexError, json.JSONDecodeError):
+        doc = {}
+    if p.returncode or doc.get("correct") is not True or doc["failed"]:
+        print(p.stdout[-3000:])
+        sys.exit(f"FAIL: perf: {side} {workload} seed {seed}: exit "
+                 f"{p.returncode}, correct {doc.get('correct')}, "
+                 f"failed {doc.get('failed')}")
+    digest = [l.split()[1] for l in lines if l.startswith("sim_digest ")]
+    return ({m: doc["metrics"][m]["value"] for m in GATED},
+            digest[0] if digest else None)
+
 failures = []
-# The config aggregate is only comparable when the workload matrix is
-# unchanged (adding a workload shifts the cycle mix); cells always are.
-if prev_workloads == cur_workloads:
-    for c, kcps in cur.items():
-        if c in prev and prev[c] > 0 and kcps < FLOOR * prev[c]:
-            failures.append(f"config '{c}': {kcps:.0f} kc/s vs baseline "
-                            f"{prev[c]:.0f} kc/s ({kcps / prev[c]:.2f}x)")
-for c, by_wl in cur_cells.items():
-    for w, kcps in by_wl.items():
-        base = prev_cells.get(c, {}).get(w, 0)
-        if base > 0 and kcps < FLOOR * base:
-            failures.append(f"cell '{c}/{w}': {kcps:.0f} kc/s vs "
-                            f"baseline {base:.0f} kc/s "
-                            f"({kcps / base:.2f}x)")
-for c, kcps in cur_mc.items():
-    base = prev_mc.get(c, 0)
-    if base > 0 and kcps < FLOOR * base:
-        failures.append(f"multicore '{c}': {kcps:.0f} kc/s vs baseline "
-                        f"{base:.0f} kc/s ({kcps / base:.2f}x)")
-# Hard absolute floors for the gap_bfs cells (the retry-path stress
-# case): unlike the relative gate these survive baseline refreshes, so
-# reverting the flattened DRAM retry path fails here even after an
-# (accidental) baseline rewrite. Floors sit ~2x below the slowest
-# observed post-flattening run at scale 0.05, far outside bench noise;
-# SL_SIMSPEED_HARD scales them (0 disables, e.g. under emulation).
-HARD = float(os.environ.get("SL_SIMSPEED_HARD", "1"))
-GAP_FLOORS = {"baseline": 4500, "streamline": 3500,
-              "triage": 4500, "triangel": 2500}
-for c, floor in GAP_FLOORS.items():
-    kcps = cur_cells.get(c, {}).get("gap_bfs", 0)
-    if HARD > 0 and kcps and kcps < floor * HARD:
-        failures.append(f"hard floor 'gap_bfs/{c}': {kcps:.0f} kc/s < "
-                        f"{floor * HARD:.0f} kc/s absolute minimum")
-json.dump(snap, open(path, "w"), indent=2, sort_keys=True)
-print(f"simspeed snapshot -> {path}: " +
-      ", ".join(f"{c}={v:.0f}kc/s" for c, v in sorted(cur.items())))
-print(f"telemetry enabled overhead: "
-      f"{tele[0]['enabled_overhead_pct']:.1f}%")
+for w in WORKLOADS:
+    ratios = {m: [] for m in GATED}
+    digests = []
+    for seed in range(1, 6):
+        order = ("parent", "change") if seed % 2 else ("change", "parent")
+        res = {side: run(side, w, seed) for side in order}
+        for m in GATED:
+            ratios[m].append(res["change"][0][m] / res["parent"][0][m])
+        same = res["change"][1] is not None and \
+            res["change"][1] == res["parent"][1]
+        digests.append("same" if same else "DIFF")
+    print(f"{w}:")
+    for m in GATED:
+        med = statistics.median(ratios[m])
+        print(f"  {m:<12} change/parent " +
+              " ".join(f"{r:.3f}" for r in ratios[m]) +
+              f"  median {med:.3f}")
+        if med > BOUND:
+            failures.append(f"{w} {m}: median ratio {med:.3f} > {BOUND}")
+    print(f"  sim_digest   seeds 1-5: {' '.join(digests)}", flush=True)
 if failures:
-    print("FAIL: simulator-speed regression below "
-          f"{FLOOR:.2f}x of recorded baseline:")
+    print("FAIL: perf regression against the parent:")
     for f in failures:
         print("  " + f)
     sys.exit(1)
+print(f"perf ok: every median change/parent ratio <= {BOUND}")
 EOF
 }
 
@@ -398,7 +368,7 @@ hermetic() {
 case "${MODE}" in
   plain)    run_mode plain build; bench_smoke build; resilience build ;;
   sanitize) run_mode asan+ubsan build-asan -DSL_SANITIZE=ON ;;
-  simspeed) cmake -B build -S .; simspeed build ;;
+  perf)     perf ;;
   telemetry) cmake -B build -S .; telemetry build ;;
   resilience) cmake -B build -S .; resilience build ;;
   multicore)
@@ -421,9 +391,9 @@ case "${MODE}" in
     multicore build build-asan
     sampling build build-asan
     hermetic build
-    simspeed build
+    perf
     ;;
-  *) echo "usage: $0 [plain|sanitize|simspeed|telemetry|resilience|multicore|sampling|hermetic|all]" >&2
+  *) echo "usage: $0 [plain|sanitize|perf|telemetry|resilience|multicore|sampling|hermetic|all]" >&2
      exit 2 ;;
 esac
 

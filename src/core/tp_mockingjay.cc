@@ -1,19 +1,35 @@
 #include "core/tp_mockingjay.hh"
 
 #include <algorithm>
+#include <bit>
 
+#include "common/error.hh"
 #include "common/hash.hh"
 
 namespace sl
 {
 
+namespace
+{
+
+// Runs in the member initializers, before the stride divides by
+// sampled_sets. Both counts power of two makes the stride one too, so
+// the sampled-set gate and the set clock index are masks.
+std::uint32_t
+requirePow2(std::uint32_t v, const char* what)
+{
+    SL_REQUIRE(std::has_single_bit(v), "tp_mockingjay",
+               what << " must be a power of two, got " << v);
+    return v;
+}
+
+} // namespace
+
 TpMockingjay::TpMockingjay(std::uint32_t sets, unsigned sampled_sets)
-    : sets_(sets), sampledSets_(sampled_sets),
-      sampleStride_(std::max<std::uint32_t>(1, sets / sampled_sets)),
-      stridePow2_((sampleStride_ & (sampleStride_ - 1)) == 0),
-      strideMask_(sampleStride_ - 1),
-      setsPow2_(sets != 0 && (sets & (sets - 1)) == 0),
-      setsMask_(sets - 1),
+    : sampledSets_(requirePow2(sampled_sets, "sampled set count")),
+      sampleStride_(std::max<std::uint32_t>(
+          1, requirePow2(sets, "set count") / sampled_sets)),
+      strideMask_(sampleStride_ - 1), setsMask_(sets - 1),
       sampler_(static_cast<std::size_t>(sampled_sets) *
                kSamplerSetsPerSampled * kSamplerWays),
       samplerClock_(sampled_sets, 0), rdp_(256, kMaxEtr / 2),
@@ -25,8 +41,8 @@ void
 TpMockingjay::sample(std::uint32_t set, Addr trigger, Addr target, PC pc)
 {
     // Gate first, hash after: non-sampled sets (the vast majority) pay
-    // one precomputed mask/modulo and nothing else.
-    if (stridePow2_ ? (set & strideMask_) != 0 : set % sampleStride_ != 0)
+    // one precomputed mask and nothing else.
+    if ((set & strideMask_) != 0)
         return;
     const unsigned sidx = (set / sampleStride_) % sampledSets_;
 
@@ -107,7 +123,7 @@ TpMockingjay::tickSet(std::uint32_t set)
     // Clock granularity matches the sampler's distance scale: kMaxEtr
     // ticks of 32 accesses give a ~224-access horizon before an entry
     // counts as overdue.
-    auto& c = setClock_[setsPow2_ ? (set & setsMask_) : set % sets_];
+    auto& c = setClock_[set & setsMask_];
     if (++c >= 32) {
         c = 0;
         return true;

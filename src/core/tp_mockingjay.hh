@@ -28,8 +28,10 @@ class TpMockingjay
 {
   public:
     /**
-     * @param sets metadata sets tracked (per-set aging clocks)
-     * @param sampled_sets how many sets feed the reuse sampler (paper: 8)
+     * @param sets metadata sets tracked (per-set aging clocks); a power
+     *        of two
+     * @param sampled_sets how many sets feed the reuse sampler (paper: 8);
+     *        a power of two
      */
     TpMockingjay(std::uint32_t sets, unsigned sampled_sets = 8);
 
@@ -77,13 +79,10 @@ class TpMockingjay
     static constexpr unsigned kSamplerWays = 10;
     static constexpr unsigned kSamplerSetsPerSampled = 32;
 
-    std::uint32_t sets_;
     unsigned sampledSets_;
     std::uint32_t sampleStride_;   //!< max(1, sets / sampledSets)
-    bool stridePow2_;
-    std::uint32_t strideMask_;     //!< sampleStride_ - 1 when stridePow2_
-    bool setsPow2_;
-    std::uint32_t setsMask_;       //!< sets - 1 when setsPow2_
+    std::uint32_t strideMask_;     //!< sampleStride_ - 1
+    std::uint32_t setsMask_;       //!< sets - 1
     /** sampler_[sampled_idx][set][way] flattened. */
     std::vector<SamplerEntry> sampler_;
     std::vector<std::uint8_t> samplerClock_;

@@ -35,6 +35,17 @@ DramParams::validate() const
                "need at least one bank per rank");
     SL_REQUIRE(rowsPerBank > 0, "dram_params",
                "need at least one row per bank");
+    // decode() splits a block number with shifts and masks, so every
+    // address-map factor must be a power of two.
+    SL_REQUIRE(std::has_single_bit(channels), "dram_params",
+               "channel count must be a power of two, got " << channels);
+    SL_REQUIRE(std::has_single_bit(ranksPerChannel * banksPerRank),
+               "dram_params",
+               "banks per channel must be a power of two, got "
+                   << ranksPerChannel * banksPerRank);
+    SL_REQUIRE(std::has_single_bit(rowsPerBank), "dram_params",
+               "rows per bank must be a power of two, got "
+                   << rowsPerBank);
     SL_REQUIRE(transferMTs > 0, "dram_params",
                "transfer rate must be nonzero");
     SL_REQUIRE(busBytes > 0 && busBytes <= kBlockBytes, "dram_params",
@@ -77,18 +88,11 @@ Dram::Dram(const DramParams& params, EventQueue& eq)
     burstCycles_ = std::max<Cycle>(
         1, static_cast<Cycle>(std::ceil(seconds * params_.coreGHz * 1e9)));
 
-    auto pow2 = [](std::uint64_t v) { return (v & (v - 1)) == 0; };
-    if (pow2(params_.channels) && pow2(banksPerChannel_) &&
-        pow2(params_.rowsPerBank)) {
-        pow2Decode_ = true;
-        chShift_ = static_cast<unsigned>(
-            std::countr_zero(std::uint64_t{params_.channels}));
-        chMask_ = params_.channels - 1;
-        bankShift_ = static_cast<unsigned>(
-            std::countr_zero(std::uint64_t{banksPerChannel_}));
-        bankMask_ = banksPerChannel_ - 1;
-        rowMask_ = params_.rowsPerBank - 1;
-    }
+    chShift_ = static_cast<unsigned>(std::countr_zero(params_.channels));
+    chMask_ = params_.channels - 1;
+    bankShift_ = static_cast<unsigned>(std::countr_zero(banksPerChannel_));
+    bankMask_ = banksPerChannel_ - 1;
+    rowMask_ = params_.rowsPerBank - 1;
 
     channels_.resize(params_.channels);
     inFlight_.resize(params_.requestors, 0);
@@ -122,29 +126,15 @@ Dram::decode(Addr addr) const
     // Address map: blocks interleave across channels; within a channel,
     // 8KB rows (128 blocks) interleave across banks, so streams enjoy
     // row locality while spreading over banks every row.
-    constexpr std::uint64_t kBlocksPerRow = 128;
-    constexpr unsigned kBlocksPerRowShift = 7;
+    constexpr unsigned kBlocksPerRowShift = 7; // 128 blocks per row
     const std::uint64_t block = blockNumber(addr);
     Decoded d;
-    if (pow2Decode_) {
-        // Exact shift/mask form of the divide path below (all factors
-        // are powers of two); this runs on every access, and three
-        // 64-bit divides per decode show up in the DRAM-bound cells.
-        d.channel = static_cast<unsigned>(block & chMask_);
-        const std::uint64_t in_channel = block >> chShift_;
-        d.bank = static_cast<std::uint32_t>(
-            (in_channel >> kBlocksPerRowShift) & bankMask_);
-        d.row = static_cast<std::uint32_t>(
-            (in_channel >> (kBlocksPerRowShift + bankShift_)) & rowMask_);
-        return d;
-    }
-    d.channel = static_cast<unsigned>(block % params_.channels);
-    const std::uint64_t in_channel = block / params_.channels;
+    d.channel = static_cast<unsigned>(block & chMask_);
+    const std::uint64_t in_channel = block >> chShift_;
     d.bank = static_cast<std::uint32_t>(
-        (in_channel / kBlocksPerRow) % banksPerChannel_);
+        (in_channel >> kBlocksPerRowShift) & bankMask_);
     d.row = static_cast<std::uint32_t>(
-        (in_channel / kBlocksPerRow / banksPerChannel_) %
-        params_.rowsPerBank);
+        (in_channel >> (kBlocksPerRowShift + bankShift_)) & rowMask_);
     return d;
 }
 

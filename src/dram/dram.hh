@@ -188,12 +188,8 @@ class Dram : public MemLevel
     std::vector<Cycle> busFreeAt_;
     unsigned banksPerChannel_ = 0;
     Cycle tCas_, tRcd_, tRp_, burstCycles_, controllerCycles_;
-    /** Shift/mask decode fast path, valid when channels, banks/channel,
-     *  and rows/bank are all powers of two (every stock configuration).
-     *  For unsigned values, x % 2^k == x & (2^k - 1) and x / 2^k ==
-     *  x >> k exactly, so the fast path is bit-identical to the divide
-     *  path it replaces. */
-    bool pow2Decode_ = false;
+    /** Shift/mask address decode; validate() makes channels,
+     *  banks/channel and rows/bank powers of two. */
     unsigned chShift_ = 0;
     std::uint64_t chMask_ = 0;
     unsigned bankShift_ = 0;

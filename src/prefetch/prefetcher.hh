@@ -90,8 +90,8 @@ class Prefetcher : public CacheListener
 
     /**
      * Total metadata-store operations performed so far (lookups, inserts,
-     * updates); 0 for designs without a store. bench_simspeed divides
-     * this by wall time to track the metadata layer's modelling speed.
+     * updates); 0 for designs without a store. perfbench reports it per
+     * thousand instructions as `*.metadata_ops_pki`.
      */
     virtual std::uint64_t metadataOps() const { return 0; }
 

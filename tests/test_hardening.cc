@@ -244,6 +244,16 @@ TEST(ConfigValidation, DramParamsRejected)
     p = DramParams{};
     p.channels = 0;
     EXPECT_THROW(p.validate(), SimError);
+    // The address map decodes with shifts and masks only.
+    p = DramParams{};
+    p.channels = 3;
+    EXPECT_THROW(p.validate(), SimError);
+    p = DramParams{};
+    p.banksPerRank = 6;
+    EXPECT_THROW(p.validate(), SimError);
+    p = DramParams{};
+    p.rowsPerBank = 1000;
+    EXPECT_THROW(p.validate(), SimError);
 }
 
 // ---------- Progress watchdog (standalone) ----------

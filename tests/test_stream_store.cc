@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "common/error.hh"
 #include "core/stream_entry.hh"
 #include "core/stream_store.hh"
 #include "core/tp_mockingjay.hh"
@@ -311,6 +312,14 @@ TEST(TpMockingjay, NonSampledSetsIgnored)
     mj.sample(1, 10, 20, 3); // set 1 is not sampled (stride 16)
     EXPECT_EQ(mj.stats().get("reuse_hits"), 0u);
     EXPECT_EQ(mj.stats().get("sampler_evictions"), 0u);
+}
+
+TEST(TpMockingjay, RejectsNonPowerOfTwoSetCounts)
+{
+    EXPECT_THROW(TpMockingjay(48, 8), SimError);
+    EXPECT_THROW(TpMockingjay(64, 6), SimError);
+    EXPECT_THROW(TpMockingjay(64, 0), SimError);
+    EXPECT_NO_THROW(TpMockingjay(4, 8));
 }
 
 TEST(TpMockingjay, SetClockTicksEveryThirtyTwo)
