@@ -39,9 +39,8 @@ main()
     };
 
     // One batch covers the whole figure: 20 Triangel + 20 Streamline
-    // jobs drain across the SL_JOBS worker pool (baselines batched by
-    // warmBaselines just before).
-    warmBaselines(workloads, scale);
+    // jobs drain across the SL_JOBS worker pool (the baselines were
+    // batched and cached by irregularSubset above).
     RunConfig tg_cfg;
     tg_cfg.traceScale = scale;
     tg_cfg.l2 = "triangel";

@@ -177,10 +177,11 @@ telemetryFromEnv()
 
 /**
  * Run @p specs through the process-wide BatchRunner, record them in the
- * JSON report, and fail loudly on the first failed job (its repro
- * bundle is written first, matching runWorkloads's behaviour). Specs
- * without their own telemetry config inherit the SL_TELEMETRY* env
- * knobs, so any bench can be run instrumented without code changes.
+ * JSON report, and fail loudly on the first failed job: its repro bundle
+ * is written to reproBundlePath() (the benches' one bundle writer, as
+ * sl_run's is its failRun) and its SimError is rethrown. Specs without
+ * their own telemetry config inherit the SL_TELEMETRY* env knobs, so any
+ * bench can be run instrumented without code changes.
  */
 inline std::vector<JobResult>
 runBatch(const std::vector<ExperimentSpec>& specs_in)
@@ -319,6 +320,27 @@ geomeanSpeedup(const std::vector<std::string>& workloads,
         speedups.push_back(runs[i].cores[0].ipc /
                            baseline(workloads[i], scale).cores[0].ipc);
     return geomean(speedups);
+}
+
+/**
+ * The paper's irregular subset (§V-A3): workloads with >= 5% speedup
+ * headroom under an idealised Triage with unlimited metadata, measured
+ * against the cached baseline() runs.
+ */
+inline std::vector<std::string>
+irregularSubset(double scale)
+{
+    const std::vector<std::string> names = allWorkloads();
+    warmBaselines(names, scale);
+    RunConfig ideal;
+    ideal.l2 = "triage_ideal";
+    const auto runs = runAcross(ideal, names, scale, ideal.l2);
+    std::vector<std::string> subset;
+    for (std::size_t i = 0; i < names.size(); ++i)
+        if (runs[i].cores[0].ipc >=
+            1.05 * baseline(names[i], scale).cores[0].ipc)
+            subset.push_back(names[i]);
+    return subset;
 }
 
 inline void

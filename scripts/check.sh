@@ -7,7 +7,7 @@
 #   scripts/check.sh sanitize   # sanitizer build only
 #   scripts/check.sh perf       # perfbench: change vs parent, same host
 #   scripts/check.sh telemetry  # instrumented run + export validation
-#   scripts/check.sh resilience # hang-timeout kill + manifest resume
+#   scripts/check.sh resilience # hang-timeout kill + manifest resume + bundles
 #   scripts/check.sh multicore  # 2-core ASan smoke + single-core digest gate
 #   scripts/check.sh sampling   # sampled runs: fidelity + speedup + resume
 #   scripts/check.sh hermetic   # ctest -j --schedule-random, 10 cold runs
@@ -137,34 +137,54 @@ print(f"perf ok: every median change/parent ratio <= {BOUND}")
 EOF
 }
 
-# Resilience stage: a sweep job armed with a lost-request fault and a
-# wall-clock budget far below its runtime. The job timeout must kill it
-# (snapshotting the hung state first) and journal it as failed; the
-# hang snapshot must restore and run to completion; re-invoking the
-# sweep against the same manifest must rerun the killed job to green,
-# after which a third invocation serves it from the manifest without
-# simulating anything. (A request the fault actually eats is caught by
-# the deadlock detector as an immediate SimError -- the fault campaign
-# covers that path -- so the rate here is armed-but-tiny and the wedge
-# comes from the wall budget.) Last, a sampled run whose checkpoint
-# directory cannot be created must exit 1 and leave the repro bundle its
-# error message names.
+# Resilience stage. First a plain run with a wall-clock budget far
+# below its runtime: it must exit 1, snapshot its hung state and leave
+# the repro bundle its error message names. Then a sweep job armed with
+# a lost-request fault and the same budget. The job timeout must kill it
+# (snapshotting the hung state first), journal it as failed and leave
+# its bundle; the hang snapshot must restore and run to completion;
+# re-invoking the sweep against the same manifest must rerun the killed
+# job to green, after which a third invocation serves it from the
+# manifest without simulating anything. (A request the fault actually
+# eats is caught by the deadlock detector as an immediate SimError --
+# ReproBundle.WrittenWhenASweepJobFails covers that path -- so the rate
+# here is armed-but-tiny and the wedge comes from the wall budget.)
+# Last, a sampled run whose checkpoint directory cannot be created must
+# exit 1 and leave the repro bundle its error message names.
 resilience() {
     local dir="$1"
     echo "== resilience: hang timeout + manifest resume (${dir}) =="
     cmake --build "${dir}" --target sl_run -j
     local m="${dir}/resilience.manifest.jsonl"
-    rm -f "${m}" sl_snapshot_hang_job0.bin
+    local bundle="${dir}/resilience_bundle.txt"
+    rm -f "${m}" "${bundle}" sl_snapshot_hang_job0.bin
+
+    # A plain run is a one-job batch: --job-timeout snapshots it too.
+    if SL_REPRO_PATH="${bundle}" "${dir}/src/sim/sl_run" --l2 streamline \
+        --scale 0.5 --job-timeout 0.15 spec06_mcf \
+        > "${dir}/resilience0.out" 2>&1; then
+        echo "FAIL: plain run over its budget exited 0"
+        exit 1
+    fi
+    grep -q "repro bundle: ${bundle}" "${dir}/resilience0.out"
+    grep -q 'error.component = job_timeout' "${bundle}"
+    test -s sl_snapshot_hang_job0.bin
+    rm -f "${bundle}" sl_snapshot_hang_job0.bin
+    echo "hung plain run snapshotted and left its repro bundle"
+
     local sweep=("${dir}/src/sim/sl_run" --l2 streamline --scale 0.5
                  --fault-lose-request 1e-9 --manifest "${m}" spec06_mcf)
-    if "${sweep[@]}" --job-timeout 0.15 > "${dir}/resilience1.out"; then
+    if SL_REPRO_PATH="${bundle}" "${sweep[@]}" --job-timeout 0.15 \
+        > "${dir}/resilience1.out" 2>&1; then
         echo "FAIL: sweep with an over-budget job exited 0"
         exit 1
     fi
     grep -q 'FAILED \[job_timeout\]' "${dir}/resilience1.out"
+    grep -q "repro bundle: ${bundle}" "${dir}/resilience1.out"
+    grep -q 'error.component = job_timeout' "${bundle}"
     grep -q '"ok":false' "${m}"
     test -s sl_snapshot_hang_job0.bin
-    echo "hung job killed, journalled, and snapshotted"
+    echo "hung sweep job killed, journalled, snapshotted, and bundled"
 
     # Same fault wiring as the save side: the snapshot carries the
     # injector's RNG stream, so the restoring System must build it too.
@@ -189,7 +209,6 @@ EOF
     rm -f sl_snapshot_hang_job0.bin
 
     local blocker="${dir}/resilience_not_a_dir"
-    local bundle="${dir}/resilience_bundle.txt"
     rm -f "${bundle}"
     echo x > "${blocker}"
     if SL_REPRO_PATH="${bundle}" "${dir}/src/sim/sl_run" --l2 streamline \

@@ -596,14 +596,22 @@ Cache::installFill(Addr addr, bool prefetched, bool origin_here,
         ++ctr_.evictions;
         if (victim->dirty && next_) {
             ++ctr_.writebacks;
-            MemRequest* wb = pool_->acquire();
-            wb->addr = victim->tag << kBlockShift;
-            wb->kind = ReqKind::Writeback;
-            // Charge the writeback to the core whose fill evicted the
-            // victim so the DRAM scheduler's per-core accounting and
-            // the downstream arbiter see a complete core tag chain.
-            wb->coreId = core;
-            sendWriteback(wb, now);
+            if (functional_) {
+                // The hop into DRAM carries no state the functional pass
+                // needs; only cache-to-cache writebacks walk the chain.
+                if (nextCache_)
+                    nextCache_->functionalWriteback(
+                        victim->tag << kBlockShift, now);
+            } else {
+                MemRequest* wb = pool_->acquire();
+                wb->addr = victim->tag << kBlockShift;
+                wb->kind = ReqKind::Writeback;
+                // Charge the writeback to the core whose fill evicted the
+                // victim so the DRAM scheduler's per-core accounting and
+                // the downstream arbiter see a complete core tag chain.
+                wb->coreId = core;
+                sendWriteback(wb, now);
+            }
         }
     }
 
@@ -697,7 +705,7 @@ Cache::functionalAccess(Addr addr, PC pc, int core, bool store, Cycle now)
     // with the dirty bit only at this level.
     if (nextCache_)
         nextCache_->functionalAccess(addr, pc, core, false, now);
-    functionalFill(addr, false, false, store, now);
+    installFill(addr, false, false, store, core, now);
 }
 
 void
@@ -709,7 +717,7 @@ Cache::functionalWriteback(Addr addr, Cycle now)
         lru_[static_cast<std::size_t>(b - blocks_.data())] = ++lruTick_;
         return;
     }
-    functionalFill(addr, false, false, true, now);
+    installFill(addr, false, false, true, 0, now);
 }
 
 void
@@ -722,40 +730,7 @@ Cache::functionalPrefetch(Addr addr, Cycle now)
     }
     if (nextCache_)
         nextCache_->functionalPrefetch(addr, now);
-    functionalFill(addr, true, false, false, now);
-}
-
-void
-Cache::functionalFill(Addr addr, bool prefetched, bool origin_here,
-                      bool store, Cycle now)
-{
-    const std::uint32_t set = setIndex(addr);
-    const std::size_t base = static_cast<std::size_t>(set) * params_.ways;
-    const unsigned vw = pickVictimWay(base, reservedWays(set));
-    if (vw == params_.ways) {
-        ++ctr_.fillBypassed;
-        return;
-    }
-    Block* victim = &blocks_[base + vw];
-    if (victim->valid) {
-        ++ctr_.evictions;
-        if (victim->dirty && next_) {
-            ++ctr_.writebacks;
-            // The hop into DRAM carries no state the functional pass
-            // needs; only cache-to-cache writebacks walk the chain.
-            if (nextCache_)
-                nextCache_->functionalWriteback(victim->tag << kBlockShift,
-                                                now);
-        }
-    }
-    victim->valid = true;
-    victim->dirty = store;
-    victim->prefetched = prefetched;
-    victim->prefetchOriginHere = prefetched && origin_here;
-    victim->tag = blockNumber(addr);
-    lru_[base + vw] = ++lruTick_;
-    victim->fillAt = now;
-    tags_[base + vw] = victim->tag;
+    installFill(addr, true, false, false, 0, now);
 }
 
 void
@@ -788,7 +763,7 @@ Cache::issuePrefetch(Addr addr, PC pc, int core_id, Cycle now)
                 return;
             if (self->nextCache_)
                 self->nextCache_->functionalPrefetch(addr, when);
-            self->functionalFill(addr, true, true, false, when);
+            self->installFill(addr, true, true, false, 0, when);
         });
         return;
     }

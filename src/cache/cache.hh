@@ -282,6 +282,9 @@ class Cache : public MemLevel, public RequestClient
      *  for, so the wake must pass to the next waiter or the freed
      *  resource would strand the list. */
     void passOnWake(unsigned lane, Cycle now);
+    /** Install @p addr over the set's victim, detailed or functional:
+     *  the modes differ only in how a dirty victim's writeback leaves
+     *  (a MemRequest, or a functionalWriteback down the cache chain). */
     void installFill(Addr addr, bool prefetched, bool origin_here,
                      bool store, std::int32_t core, Cycle now);
     /** Send dirty victim @p wb downstream, routed as a miss is: a
@@ -291,11 +294,8 @@ class Cache : public MemLevel, public RequestClient
     void sendWriteback(MemRequest* wb, Cycle now);
     /** Victim scan over the packed tag/LRU side arrays: first invalid
      *  way at or past @p reserved, else the least-LRU way; params_.ways
-     *  when the whole set is metadata-reserved. Shared by the detailed
-     *  and functional fill paths so both pick identical victims. */
+     *  when the whole set is metadata-reserved. */
     unsigned pickVictimWay(std::size_t base, unsigned reserved) const;
-    void functionalFill(Addr addr, bool prefetched, bool origin_here,
-                        bool store, Cycle now);
     /** Downstream leg of a functional prefetch chain: install at every
      *  level like the detailed prefetch fill unwind would. */
     void functionalPrefetch(Addr addr, Cycle now);

@@ -20,7 +20,6 @@
 #ifndef SL_COMMON_FAULT_HH
 #define SL_COMMON_FAULT_HH
 
-#include <cstddef>
 #include <cstdint>
 
 #include "error.hh"
@@ -47,18 +46,12 @@ struct FaultConfig
     /** Lose a downstream miss request after MSHR allocation (NOT
      *  graceful; pairs with the auditor/watchdog tests). */
     double loseRequestRate = 0.0;
-    /** Flip one bit of a serialized snapshot payload before it is
-     *  written (per save). Exercises the snapshot CRC: a corrupted
-     *  snapshot must be rejected on restore with a SimError, never
-     *  silently produce a wrong continuation. */
-    double snapshotCorruptRate = 0.0;
 
     bool
     enabled() const
     {
         return metadataBitFlipRate > 0 || dropPrefetchFillRate > 0 ||
-               dramDelayRate > 0 || loseRequestRate > 0 ||
-               snapshotCorruptRate > 0;
+               dramDelayRate > 0 || loseRequestRate > 0;
     }
 
     /** Reject nonsensical rates before a run starts. */
@@ -77,9 +70,6 @@ struct FaultConfig
         SL_REQUIRE(rate_ok(loseRequestRate), "fault_config",
                    "loseRequestRate must be in [0,1], got "
                        << loseRequestRate);
-        SL_REQUIRE(rate_ok(snapshotCorruptRate), "fault_config",
-                   "snapshotCorruptRate must be in [0,1], got "
-                       << snapshotCorruptRate);
     }
 };
 
@@ -143,22 +133,6 @@ class FaultInjector
             !rng_.chance(cfg_.loseRequestRate))
             return false;
         ++stats_.counter("requests_lost");
-        return true;
-    }
-
-    /**
-     * Maybe flip one bit of a serialized snapshot payload in place.
-     * @return true when corrupted.
-     */
-    bool
-    corruptSnapshotBytes(std::uint8_t* data, std::size_t len)
-    {
-        if (cfg_.snapshotCorruptRate <= 0 || len == 0 ||
-            !rng_.chance(cfg_.snapshotCorruptRate))
-            return false;
-        data[rng_.below(len)] ^=
-            static_cast<std::uint8_t>(1u << rng_.below(8));
-        ++stats_.counter("snapshot_bytes_corrupted");
         return true;
     }
 

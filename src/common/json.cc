@@ -1,0 +1,42 @@
+#include "json.hh"
+
+#include <iomanip>
+#include <limits>
+#include <sstream>
+
+namespace sl
+{
+
+std::string
+jsonEscape(const std::string& s)
+{
+    std::ostringstream os;
+    for (const char c : s) {
+        switch (c) {
+          case '"': os << "\\\""; break;
+          case '\\': os << "\\\\"; break;
+          case '\n': os << "\\n"; break;
+          case '\r': os << "\\r"; break;
+          case '\t': os << "\\t"; break;
+          default:
+            if (static_cast<unsigned char>(c) < 0x20)
+                os << "\\u" << std::hex << std::setw(4)
+                   << std::setfill('0') << static_cast<int>(c)
+                   << std::dec << std::setfill(' ');
+            else
+                os << c;
+        }
+    }
+    return os.str();
+}
+
+std::string
+jsonNumber(double v)
+{
+    std::ostringstream os;
+    os << std::setprecision(std::numeric_limits<double>::max_digits10)
+       << v;
+    return os.str();
+}
+
+} // namespace sl

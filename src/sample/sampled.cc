@@ -192,7 +192,7 @@ findU64(const std::string& json, const char* key)
                "manifest fragment has no \""
                    << key
                    << "\" field — journal from a build without "
-                      "stat-fenced jobs? delete the manifest and rerun");
+                      "windowed jobs? delete the manifest and rerun");
     return std::strtoull(json.c_str() + pos + needle.size(), nullptr,
                          10);
 }
@@ -318,14 +318,10 @@ runSampled(const RunConfig& cfg, const std::string& workload,
         };
         spec.hooks.measureWarmupRecords = p.start;
         spec.hooks.measureEvalRecords = p.end;
-        spec.hooks.statFence = true;
         specs.push_back(std::move(spec));
     }
 
-    BatchOptions bopts;
-    bopts.manifestPath = opts.manifestPath;
-    bopts.jobTimeoutSec = opts.jobTimeoutSec;
-    BatchRunner runner(opts.threads, bopts);
+    BatchRunner runner(opts.threads, opts.batch);
     const auto t0 = std::chrono::steady_clock::now();
     // The checkpoint pass leads on worker 0; every other worker starts
     // intervals as their checkpoints land.

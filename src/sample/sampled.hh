@@ -43,10 +43,10 @@ struct SampleOptions
     std::uint64_t warmupRecords = 0;
     /** Checkpoint directory; "" = $SL_SAMPLE_DIR, else ".". */
     std::string checkpointDir;
-    /** BatchRunner sweep manifest ("" disables resume). */
-    std::string manifestPath;
-    unsigned threads = 0;     //!< 0 = defaultJobThreads()
-    double jobTimeoutSec = 0; //!< per-interval wall budget (0 = off)
+    unsigned threads = 0; //!< 0 = defaultJobThreads()
+    /** The interval batch's manifest (resume) and per-interval wall
+     *  budget (BatchOptions). */
+    BatchOptions batch;
 };
 
 /** One simulated representative interval. */
@@ -102,7 +102,7 @@ struct SampledReport
  * Run @p workload sampled under @p cfg (single-core, faults off).
  * Profiles the trace, clusters, ensures checkpoints, runs the K detailed
  * intervals through BatchRunner, and reassembles. Throws SimError when
- * any interval job fails (after BatchOptions-level retries).
+ * the checkpoint pass or any interval job fails.
  */
 SampledReport runSampled(const RunConfig& cfg,
                          const std::string& workload,

@@ -7,7 +7,6 @@
 #include <exception>
 #include <fstream>
 #include <iomanip>
-#include <limits>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -37,13 +36,8 @@ BatchRunner::BatchRunner(unsigned threads, BatchOptions opts)
 std::string
 jobDigest(const ExperimentSpec& spec)
 {
-    std::string key = spec.label;
-    key += '\0';
-    key += toJson(spec.config);
-    for (const auto& w : spec.workloads) {
-        key += '\0';
-        key += w;
-    }
+    const std::string key =
+        spec.label + '\0' + snapshotDigest(spec.config, spec.workloads);
     std::uint64_t h = 1469598103934665603ull; // FNV-1a offset basis
     for (const char c : key) {
         h ^= static_cast<unsigned char>(c);
@@ -103,7 +97,7 @@ runOne(const ExperimentSpec& spec, const BatchOptions& opts,
     }
 
     try {
-        jr.result = runWorkloadsRaw(spec.config, spec.workloads, hooks);
+        jr.result = runWorkloads(spec.config, spec.workloads, hooks);
         jr.ok = true;
     } catch (const SimError& err) {
         jr.error = err;
@@ -274,38 +268,6 @@ BatchRunner::run(const std::vector<ExperimentSpec>& specs_in,
 }
 
 std::string
-jsonEscape(const std::string& s)
-{
-    std::ostringstream os;
-    for (const char c : s) {
-        switch (c) {
-          case '"': os << "\\\""; break;
-          case '\\': os << "\\\\"; break;
-          case '\n': os << "\\n"; break;
-          case '\r': os << "\\r"; break;
-          case '\t': os << "\\t"; break;
-          default:
-            if (static_cast<unsigned char>(c) < 0x20)
-                os << "\\u" << std::hex << std::setw(4)
-                   << std::setfill('0') << static_cast<int>(c)
-                   << std::dec << std::setfill(' ');
-            else
-                os << c;
-        }
-    }
-    return os.str();
-}
-
-std::string
-jsonNumber(double v)
-{
-    std::ostringstream os;
-    os << std::setprecision(std::numeric_limits<double>::max_digits10)
-       << v;
-    return os.str();
-}
-
-std::string
 toJson(const RunConfig& cfg)
 {
     std::ostringstream os;
@@ -346,9 +308,9 @@ toJson(const ExperimentSpec& spec, const JobResult& jr)
                << ",\"coverage\":" << jsonNumber(cr.coverage())
                << ",\"accuracy\":" << jsonNumber(cr.accuracy());
             // Raw interval extents and fenced L2 counters, emitted only
-            // for stat-fenced (sampled-interval) jobs so every existing
+            // for windowed (sampled-interval) jobs so every existing
             // bench's JSON stays byte-identical.
-            if (spec.hooks.statFence)
+            if (spec.hooks.windowed())
                 os << ",\"eval_instructions\":" << cr.evalInstructions
                    << ",\"eval_cycles\":" << cr.evalCycles
                    << ",\"l2_demand_misses\":" << cr.l2DemandMisses

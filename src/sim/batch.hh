@@ -22,6 +22,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "sim/runner.hh"
 
 namespace sl
@@ -34,12 +35,13 @@ struct ExperimentSpec
     RunConfig config;
     std::vector<std::string> workloads; //!< one per config.cores
     /**
-     * Per-job orchestration (snapshot restore, measurement window, stat
-     * fence) — how the sampled runner drives each interval through the
-     * batch layer. NOT part of jobDigest(): hooks describe how a job
-     * runs, not what it is, and the sampled runner encodes the interval
-     * identity (record range) in the label instead. A BatchOptions
-     * jobTimeoutSec overrides the hook's wallTimeoutSec.
+     * Per-job orchestration (snapshot save/restore, measurement window)
+     * — how sl_run passes its snapshot flags and the sampled runner
+     * drives each interval through the batch layer. NOT part of
+     * jobDigest(): hooks describe how a job runs, not what it is, and
+     * the sampled runner encodes the interval identity (record range) in
+     * the label instead. BatchOptions::jobTimeoutSec sets the hook's
+     * wallTimeoutSec and timeoutSnapshotPath.
      */
     RunHooks hooks{};
 };
@@ -119,17 +121,11 @@ class BatchRunner
 
 /**
  * Stable identity of one job for the sweep manifest: a 64-bit FNV-1a
- * over the label, the config JSON, and the workload list, rendered as
- * hex. Collisions across a sweep's handful of jobs are not a realistic
+ * over the label and snapshotDigest() (config, prefetcher tuning and
+ * workload list), rendered as hex. Collisions across a sweep's handful of jobs are not a realistic
  * concern; a digest only needs to tell jobs of one sweep apart.
  */
 std::string jobDigest(const ExperimentSpec& spec);
-
-/** JSON-escape the contents of @p s (no surrounding quotes). */
-std::string jsonEscape(const std::string& s);
-
-/** Round-trippable double literal (max_digits10 precision). */
-std::string jsonNumber(double v);
 
 /** A RunConfig as a JSON object. */
 std::string toJson(const RunConfig& cfg);

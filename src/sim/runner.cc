@@ -3,13 +3,10 @@
 #include <algorithm>
 #include <array>
 #include <chrono>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
-#include <iterator>
 #include <map>
-#include <mutex>
 #include <sstream>
 
 #include "common/error.hh"
@@ -33,6 +30,53 @@ tuningFor(const RunConfig& cfg)
     t.triangel = &cfg.triangel;
     t.triage = &cfg.triage;
     return t;
+}
+
+/**
+ * Visit every prefetcher tuning field as (name, value), in declaration
+ * order. The snapshot digest, the job digest (through it) and the repro
+ * bundle all read the tuning from here, so a field added to one of the
+ * three structs must be added here too.
+ */
+template <typename F>
+void
+forEachTuningField(const RunConfig& cfg, F&& f)
+{
+    const StreamlineConfig& s = cfg.streamline;
+    f("streamline.stream_length", s.streamLength);
+    f("streamline.buffer_entries", s.bufferEntries);
+    f("streamline.tu_entries", s.tuEntries);
+    f("streamline.max_degree", s.maxDegree);
+    f("streamline.enable_buffer", s.enableBuffer);
+    f("streamline.enable_alignment", s.enableAlignment);
+    f("streamline.tagged_set_partition", s.taggedSetPartition);
+    f("streamline.use_tp_mockingjay", s.useTpMockingjay);
+    f("streamline.degree_control", s.degreeControl);
+    f("streamline.realignment", s.realignment);
+    f("streamline.skewed_indexing", s.skewedIndexing);
+    f("streamline.triangel_partitioner", s.triangelPartitioner);
+    f("streamline.fixed_den", s.fixedDen);
+    f("streamline.fixed_ways", s.fixedWays);
+    f("streamline.ideal", s.ideal);
+    f("streamline.meta_ways_per_set", s.metaWaysPerSet);
+    f("streamline.partial_tag_bits", s.partialTagBits);
+    f("streamline.degree_epoch", s.degreeEpoch);
+    const TriangelConfig& tg = cfg.triangel;
+    f("triangel.max_degree", tg.maxDegree);
+    f("triangel.tu_entries", tg.tuEntries);
+    f("triangel.max_ways", tg.maxWays);
+    f("triangel.resize_interval", tg.resizeInterval);
+    f("triangel.mrb_entries", tg.mrbEntries);
+    f("triangel.hs_entries", tg.hsEntries);
+    f("triangel.scs_entries", tg.scsEntries);
+    f("triangel.ideal", tg.ideal);
+    f("triangel.use_tp_mockingjay", tg.useTpMockingjay);
+    const TriageConfig& ta = cfg.triage;
+    f("triage.degree", ta.degree);
+    f("triage.tu_entries", ta.tuEntries);
+    f("triage.max_ways", ta.maxWays);
+    f("triage.resize_interval", ta.resizeInterval);
+    f("triage.unlimited", ta.unlimited);
 }
 
 /**
@@ -128,6 +172,9 @@ formatReproBundle(const RunConfig& cfg,
     os << "l1_prefetcher = " << cfg.l1 << "\n";
     os << "l2_prefetcher = " << cfg.l2 << "\n";
     os << "dram_mts = " << cfg.dramMTs << "\n";
+    forEachTuningField(cfg, [&os](const char* name, auto value) {
+        os << name << " = " << value << "\n";
+    });
     os << "fault.seed = " << cfg.faults.seed << "\n";
     os << "fault.metadata_bit_flip_rate = "
        << cfg.faults.metadataBitFlipRate << "\n";
@@ -138,8 +185,6 @@ formatReproBundle(const RunConfig& cfg,
        << "\n";
     os << "fault.lose_request_rate = " << cfg.faults.loseRequestRate
        << "\n";
-    os << "fault.snapshot_corrupt_rate = "
-       << cfg.faults.snapshotCorruptRate << "\n";
     os << "hardening.audit_interval = " << cfg.hardening.auditInterval
        << "\n";
     os << "hardening.watchdog_window = " << cfg.hardening.watchdogWindow
@@ -159,43 +204,24 @@ reproBundlePath()
     return "sl_repro_bundle.txt";
 }
 
-namespace
-{
-
-/** Best-effort write of a tripped run's bundle to reproBundlePath(). */
-void
-writeReproBundle(const RunConfig& cfg,
-                 const std::vector<std::string>& workloads,
-                 const SimError& err)
-{
-    if (std::ofstream out(reproBundlePath()); out)
-        out << formatReproBundle(cfg, workloads, err);
-}
-
-} // namespace
-
 std::string
 snapshotDigest(const RunConfig& cfg,
                const std::vector<std::string>& workloads)
 {
     std::ostringstream os;
-    os << toJson(cfg) << " workloads:";
+    os << toJson(cfg) << " tuning:";
+    forEachTuningField(cfg, [&os](const char* name, auto value) {
+        os << ' ' << name << '=' << value;
+    });
+    os << " workloads:";
     for (const auto& w : workloads)
         os << ' ' << w;
     return os.str();
 }
 
 RunResult
-runWorkloadsRaw(const RunConfig& cfg,
-                const std::vector<std::string>& workloads)
-{
-    return runWorkloadsRaw(cfg, workloads, RunHooks{});
-}
-
-RunResult
-runWorkloadsRaw(const RunConfig& cfg,
-                const std::vector<std::string>& workloads,
-                const RunHooks& hooks)
+runWorkloads(const RunConfig& cfg, const std::vector<std::string>& workloads,
+             const RunHooks& hooks)
 {
     cfg.validate();
     SL_REQUIRE(workloads.size() == cfg.cores, "run_config",
@@ -247,12 +273,10 @@ runWorkloadsRaw(const RunConfig& cfg,
     // after any restore above — the targets are relative to the restored
     // cursor, and they are deliberately absent from the snapshot itself.
     std::vector<std::array<std::uint64_t, 3>> fence(cfg.cores);
-    if (hooks.measureWarmupRecords != 0 || hooks.measureEvalRecords != 0)
-        for (unsigned c = 0; c < cfg.cores; ++c)
+    if (hooks.windowed()) {
+        for (unsigned c = 0; c < cfg.cores; ++c) {
             sys.core(c).setMeasureWindow(hooks.measureWarmupRecords,
                                          hooks.measureEvalRecords);
-    if (hooks.statFence) {
-        for (unsigned c = 0; c < cfg.cores; ++c) {
             Cache& l2c = sys.l2(c);
             auto* slot = &fence[c];
             sys.core(c).setWarmupCallback([&l2c, slot](Cycle) {
@@ -339,74 +363,11 @@ runWorkloadsRaw(const RunConfig& cfg,
 }
 
 RunResult
-runWorkloads(const RunConfig& cfg,
-             const std::vector<std::string>& workloads)
-{
-    try {
-        return runWorkloadsRaw(cfg, workloads);
-    } catch (const SimError& err) {
-        // Serialize everything needed to replay the failure, then let
-        // the error propagate to the caller.
-        writeReproBundle(cfg, workloads, err);
-        throw;
-    }
-}
-
-RunResult
 runWorkload(const RunConfig& cfg, const std::string& workload)
 {
     RunConfig c1 = cfg;
     c1.cores = 1;
     return runWorkloads(c1, {workload});
-}
-
-std::vector<std::string>
-irregularSubset(double scale)
-{
-    if (scale <= 0)
-        scale = defaultTraceScale();
-
-    static std::mutex mu;
-    static std::map<double, std::vector<std::string>> cache;
-    {
-        std::lock_guard<std::mutex> lock(mu);
-        if (auto it = cache.find(scale); it != cache.end())
-            return it->second;
-    }
-
-    // Two jobs per workload (baseline + idealised Triage), batched so
-    // the subset probe parallelises like any other sweep.
-    const std::vector<std::string> names = workloadNames();
-    RunConfig base;
-    base.traceScale = scale;
-    RunConfig ideal = base;
-    ideal.l2 = "triage_ideal";
-
-    std::vector<ExperimentSpec> specs;
-    for (const auto& w : names) {
-        specs.push_back({"base:" + w, base, {w}});
-        specs.push_back({"ideal:" + w, ideal, {w}});
-    }
-    const std::vector<JobResult> jobs = BatchRunner().run(specs);
-
-    std::vector<std::string> subset;
-    for (std::size_t i = 0; i < names.size(); ++i) {
-        for (const std::size_t k : {2 * i, 2 * i + 1}) {
-            if (!jobs[k].ok) {
-                writeReproBundle(specs[k].config, specs[k].workloads,
-                                 *jobs[k].error);
-                throw *jobs[k].error;
-            }
-        }
-        const double ipc_base = jobs[2 * i].result.cores[0].ipc;
-        const double ipc_ideal = jobs[2 * i + 1].result.cores[0].ipc;
-        if (ipc_ideal >= 1.05 * ipc_base)
-            subset.push_back(names[i]);
-    }
-
-    std::lock_guard<std::mutex> lock(mu);
-    cache[scale] = subset;
-    return subset;
 }
 
 namespace
@@ -452,8 +413,10 @@ printUsage(std::ostream& os)
           "the same manifest\n"
           "                          skips finished jobs (implies "
           "--sweep)\n"
-          "  --job-timeout SEC       per-job wall-clock budget; hung "
-          "jobs snapshot then fail\n"
+          "  --job-timeout SEC       per-job wall-clock budget (plain "
+          "runs too); a hung job\n"
+          "                          saves sl_snapshot_hang_job<i>.bin, "
+          "then fails\n"
           "sampled runs (DESIGN.md §15):\n"
           "  --sample                profile, cluster, checkpoint, and "
           "simulate K\n"
@@ -475,17 +438,18 @@ printUsage(std::ostream& os)
           "                          --manifest/--job-timeout apply to "
           "the interval batch\n"
           "fault injection:\n"
-          "  --fault-campaign        sweep the fault grid (bit flips, "
-          "dropped fills, DRAM\n"
-          "                          delays, lost requests, snapshot "
-          "corruption) and report\n"
           "  --fault-lose-request R  drop downstream misses at rate R "
           "(wedges the run;\n"
           "                          pair with --job-timeout or a "
           "watchdog)\n"
           "  --list-prefetchers      print registered prefetcher names "
           "and exit\n"
-          "  --help                  this text\n";
+          "  --help                  this text\n"
+          "\n"
+          "A failed run exits 1 and leaves one repro bundle at "
+          "$SL_REPRO_PATH\n"
+          "(default sl_repro_bundle.txt): the first failed job's, in "
+          "submission order.\n";
 }
 
 /** First line of a (possibly multi-line) error message. */
@@ -523,153 +487,73 @@ printSampled(const std::string& w, const SampledReport& rep)
 }
 
 /**
- * --sweep: one single-core batch job per workload, optionally journalled
- * to a manifest so an interrupted sweep resumes where it stopped.
- * Prints per-job lines plus the ==JSON== document every bench emits.
+ * The one place sl_run reports a failed run: leave @p bundle at
+ * reproBundlePath(), name it on stderr, and return exit code 1.
  */
 int
-runSweep(const RunConfig& cfg, const std::vector<std::string>& workloads,
-         const BatchOptions& opts)
+failRun(const std::string& bundle, const SimError& err)
 {
-    std::vector<ExperimentSpec> specs;
-    for (const auto& w : workloads) {
-        RunConfig c = cfg;
-        c.cores = 1;
-        specs.push_back({w, c, {w}});
-    }
+    const std::string path = reproBundlePath();
+    if (std::ofstream out(path); out)
+        out << bundle;
+    std::cerr << "sl_run: error [" << err.component()
+              << "]: " << firstLine(err.what())
+              << " (repro bundle: " << path << ")\n";
+    return 1;
+}
 
-    BatchRunner runner(0, opts);
-    const auto t0 = std::chrono::steady_clock::now();
-    std::vector<JobResult> jobs;
-    try {
-        jobs = runner.run(specs);
-    } catch (const SimError& err) {
-        // Job failures come back in JobResult; what escapes is the
-        // sweep's own, such as a manifest that cannot be opened.
-        writeReproBundle(cfg, workloads, err);
-        throw;
+/** A plain run: per-core results, shared-memory counters, telemetry. */
+void
+printRun(const RunResult& res)
+{
+    for (std::size_t c = 0; c < res.cores.size(); ++c) {
+        const CoreResult& cr = res.cores[c];
+        std::cout << "core " << c << ": " << cr.workload
+                  << " ipc=" << cr.ipc << " coverage=" << cr.coverage()
+                  << " accuracy=" << cr.accuracy() << "\n";
     }
-    const double wall = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
+    if (res.cores.size() > 1) {
+        std::cout << "shared-memory: pf_dropped=" << res.pfDroppedPressure
+                  << " quota_stalls=" << res.llcQuotaStalls
+                  << " read_q_wait=" << res.dramReadQueueWait
+                  << " demand_reads=" << res.dramDemandReads
+                  << " prefetch_reads=" << res.dramPrefetchReads;
+        for (std::size_t c = 0; c < res.dramCoreBytes.size(); ++c)
+            std::cout << (c ? "/" : " core_bytes=") << res.dramCoreBytes[c];
+        std::cout << "\n";
+    }
+    if (res.telemetry) {
+        const TelemetryData& t = *res.telemetry;
+        std::cout << "telemetry: intervals=" << t.intervals.size()
+                  << " dropped=" << t.droppedIntervals
+                  << " incidents=" << t.incidents.size() << "\n";
+        for (const auto& h : t.histograms)
+            std::cout << "  " << h.name << ": samples=" << h.samples
+                      << " p50=" << h.p50 << " p95=" << h.p95
+                      << " p99=" << h.p99 << " max=" << h.maxValue << "\n";
+    }
+}
 
-    bool all_ok = true;
+/** --sweep: one job line per workload plus the ==JSON== document. */
+void
+printSweep(const std::vector<ExperimentSpec>& specs,
+           const std::vector<JobResult>& jobs, unsigned threads,
+           double wall)
+{
     for (std::size_t i = 0; i < jobs.size(); ++i) {
         const JobResult& j = jobs[i];
         std::cout << "job " << specs[i].label << ": ";
-        if (j.resumed) {
+        if (j.resumed)
             std::cout << "ok (from manifest)\n";
-        } else if (j.ok) {
+        else if (j.ok)
             std::cout << "ok ipc=" << j.result.meanIpc() << "\n";
-        } else {
-            all_ok = false;
+        else
             std::cout << "FAILED [" << j.error->component()
                       << "]: " << firstLine(j.error->what()) << "\n";
-        }
     }
     std::cout << "==JSON==\n"
-              << batchJson("sweep", specs, jobs, runner.threads(), wall)
+              << batchJson("sweep", specs, jobs, threads, wall)
               << "\n==END-JSON==\n";
-    return all_ok ? 0 : 1;
-}
-
-/**
- * --fault-campaign: run the workloads under every FaultConfig kind plus
- * a clean baseline, then probe snapshot-byte corruption end to end
- * (save a deliberately corrupted snapshot, assert the restore-side CRC
- * check rejects it). Graceful kinds must complete; lose_request may
- * legitimately trip the watchdog -- what matters is that the failure is
- * a *caught* SimError with a repro bundle, never a hang or a crash.
- */
-int
-runFaultCampaign(const RunConfig& base,
-                 const std::vector<std::string>& workloads)
-{
-    std::vector<ExperimentSpec> specs;
-    const auto add = [&](const char* name, const RunConfig& c) {
-        specs.push_back({name, c, workloads});
-    };
-    add("none", base);
-    {
-        RunConfig c = base;
-        c.faults.metadataBitFlipRate = 1e-3;
-        add("metadata_bit_flip", c);
-    }
-    {
-        RunConfig c = base;
-        c.faults.dropPrefetchFillRate = 1e-3;
-        add("drop_prefetch_fill", c);
-    }
-    {
-        RunConfig c = base;
-        c.faults.dramDelayRate = 1e-3;
-        c.faults.dramDelayCycles = 200;
-        add("dram_delay", c);
-    }
-    {
-        // A lost request wedges its core; a tight watchdog window turns
-        // the wedge into a caught, journalable SimError quickly.
-        RunConfig c = base;
-        c.faults.loseRequestRate = 1e-4;
-        c.hardening.watchdogWindow = 100'000;
-        add("lose_request", c);
-    }
-
-    BatchRunner runner;
-    const auto t0 = std::chrono::steady_clock::now();
-    const std::vector<JobResult> jobs = runner.run(specs);
-    const double wall = std::chrono::duration<double>(
-                            std::chrono::steady_clock::now() - t0)
-                            .count();
-
-    bool pass = true;
-    for (std::size_t i = 0; i < jobs.size(); ++i) {
-        const JobResult& j = jobs[i];
-        const bool must_complete = specs[i].label != "lose_request";
-        std::cout << "fault " << specs[i].label << ": ";
-        if (j.ok) {
-            std::cout << "completed ipc=" << j.result.meanIpc()
-                      << " coverage=" << j.result.meanCoverage() << "\n";
-        } else {
-            std::cout << "caught [" << j.error->component()
-                      << "]: " << firstLine(j.error->what()) << "\n";
-            if (must_complete)
-                pass = false;
-        }
-    }
-
-    // Snapshot corruption: rate 1.0 flips a payload byte after the CRC
-    // is computed; the restore must reject the file with a diagnosable
-    // SimError, never load garbage state.
-    RunConfig sc = base;
-    sc.faults.snapshotCorruptRate = 1.0;
-    const std::string snapPath = "sl_snapshot_campaign.bin";
-    bool caught = false;
-    std::string verdict = "restore unexpectedly succeeded";
-    try {
-        RunHooks save;
-        save.snapshotAt = 5'000;
-        save.snapshotPath = snapPath;
-        runWorkloadsRaw(sc, workloads, save);
-        RunHooks load;
-        load.restorePath = snapPath;
-        runWorkloadsRaw(sc, workloads, load);
-    } catch (const SimError& err) {
-        caught = true;
-        verdict = "caught [" + err.component() +
-                  "]: " + firstLine(err.what());
-    }
-    std::remove(snapPath.c_str());
-    std::cout << "fault snapshot_corrupt: " << verdict << "\n";
-    if (!caught)
-        pass = false;
-
-    std::cout << "==JSON==\n"
-              << batchJson("fault_campaign", specs, jobs,
-                           runner.threads(), wall)
-              << "\n==END-JSON==\n";
-    std::cout << (pass ? "campaign PASS" : "campaign FAIL") << "\n";
-    return pass ? 0 : 1;
 }
 
 /** True when the prefetcher selection is known; complains otherwise. */
@@ -698,7 +582,6 @@ runnerMain(int argc, char** argv)
     RunHooks hooks;
     BatchOptions batch_opts;
     bool sweep = false;
-    bool fault_campaign = false;
     bool sample = false;
     bool sample_report = false;
     SampleOptions sample_opts;
@@ -805,7 +688,6 @@ runnerMain(int argc, char** argv)
             if (!(v = value(i, "--job-timeout")))
                 return 2;
             batch_opts.jobTimeoutSec = std::strtod(v, nullptr);
-            hooks.wallTimeoutSec = batch_opts.jobTimeoutSec;
         } else if (arg == "--sample") {
             sample = true;
         } else if (arg == "--sample-report") {
@@ -830,8 +712,6 @@ runnerMain(int argc, char** argv)
                 return 2;
             sample = true;
             sample_opts.checkpointDir = v;
-        } else if (arg == "--fault-campaign") {
-            fault_campaign = true;
         } else if (arg == "--fault-lose-request") {
             if (!(v = value(i, "--fault-lose-request")))
                 return 2;
@@ -884,9 +764,9 @@ runnerMain(int argc, char** argv)
         workloads.resize(cores, workloads.front());
     cfg.cores = cores;
 
-    // Every failure below -- SimError from the run, a bad output path,
-    // a rejected snapshot -- exits nonzero with a one-line diagnostic;
-    // SimErrors additionally leave a repro bundle behind.
+    // Plain and --sweep runs are BatchRunner jobs and --sample batches
+    // its intervals the same way, so --manifest and --job-timeout mean
+    // one thing in every mode. Every failed run exits 1 through failRun.
     try {
         if (sample || sample_report) {
             // Sampled runs are per-workload and single-core; --manifest
@@ -894,8 +774,7 @@ runnerMain(int argc, char** argv)
             // implying a plain sweep.
             RunConfig c = cfg;
             c.cores = 1;
-            sample_opts.manifestPath = batch_opts.manifestPath;
-            sample_opts.jobTimeoutSec = batch_opts.jobTimeoutSec;
+            sample_opts.batch = batch_opts;
             for (const auto& w : workloads) {
                 try {
                     if (sample_report)
@@ -904,63 +783,50 @@ runnerMain(int argc, char** argv)
                     else
                         printSampled(w, runSampled(c, w, sample_opts));
                 } catch (const SimError& err) {
-                    writeReproBundle(c, {w}, err);
-                    throw;
+                    return failRun(formatReproBundle(c, {w}, err), err);
                 }
             }
             return 0;
         }
-        if (fault_campaign)
-            return runFaultCampaign(cfg, workloads);
-        if (sweep)
-            return runSweep(cfg, workloads, batch_opts);
 
-        if (hooks.snapshotAt != kNoCycle && hooks.snapshotPath.empty())
-            hooks.snapshotPath =
-                "sl_snapshot_" + workloads.front() + ".bin";
+        // --sweep: one single-core job per workload, optionally
+        // journalled to a manifest so an interrupted sweep resumes where
+        // it stopped. Plain: the whole workload list as one job.
+        std::vector<ExperimentSpec> specs;
+        if (sweep) {
+            for (const auto& w : workloads) {
+                RunConfig c = cfg;
+                c.cores = 1;
+                specs.push_back({w, c, {w}});
+            }
+        } else {
+            if (hooks.snapshotAt != kNoCycle && hooks.snapshotPath.empty())
+                hooks.snapshotPath =
+                    "sl_snapshot_" + workloads.front() + ".bin";
+            specs.push_back({"run", cfg, workloads, hooks});
+        }
 
-        RunResult res;
+        const BatchRunner runner(0, batch_opts);
+        const auto t0 = std::chrono::steady_clock::now();
+        std::vector<JobResult> jobs;
         try {
-            res = runWorkloadsRaw(cfg, workloads, hooks);
+            jobs = runner.run(specs);
         } catch (const SimError& err) {
-            writeReproBundle(cfg, workloads, err);
-            throw;
+            // Job failures come back in JobResult; what escapes is the
+            // batch's own, such as a manifest that cannot be opened.
+            return failRun(formatReproBundle(cfg, workloads, err), err);
         }
-        for (std::size_t c = 0; c < res.cores.size(); ++c) {
-            const CoreResult& cr = res.cores[c];
-            std::cout << "core " << c << ": " << cr.workload
-                      << " ipc=" << cr.ipc
-                      << " coverage=" << cr.coverage()
-                      << " accuracy=" << cr.accuracy() << "\n";
-        }
-        if (cfg.cores > 1) {
-            std::cout << "shared-memory: pf_dropped="
-                      << res.pfDroppedPressure
-                      << " quota_stalls=" << res.llcQuotaStalls
-                      << " read_q_wait=" << res.dramReadQueueWait
-                      << " demand_reads=" << res.dramDemandReads
-                      << " prefetch_reads=" << res.dramPrefetchReads;
-            for (std::size_t c = 0; c < res.dramCoreBytes.size(); ++c)
-                std::cout << (c ? "/" : " core_bytes=")
-                          << res.dramCoreBytes[c];
-            std::cout << "\n";
-        }
-        if (res.telemetry) {
-            const TelemetryData& t = *res.telemetry;
-            std::cout << "telemetry: intervals=" << t.intervals.size()
-                      << " dropped=" << t.droppedIntervals
-                      << " incidents=" << t.incidents.size() << "\n";
-            for (const auto& h : t.histograms)
-                std::cout << "  " << h.name << ": samples=" << h.samples
-                          << " p50=" << h.p50 << " p95=" << h.p95
-                          << " p99=" << h.p99 << " max=" << h.maxValue
-                          << "\n";
-        }
-    } catch (const SimError& err) {
-        std::cerr << "sl_run: error [" << err.component()
-                  << "]: " << firstLine(err.what())
-                  << " (repro bundle: " << reproBundlePath() << ")\n";
-        return 1;
+        const double wall = std::chrono::duration<double>(
+                                std::chrono::steady_clock::now() - t0)
+                                .count();
+
+        if (sweep)
+            printSweep(specs, jobs, runner.threads(), wall);
+        else if (jobs[0].ok)
+            printRun(jobs[0].result);
+        for (const JobResult& j : jobs)
+            if (!j.ok)
+                return failRun(j.reproBundle, *j.error);
     } catch (const std::exception& e) {
         std::cerr << "sl_run: error: " << firstLine(e.what()) << "\n";
         return 1;

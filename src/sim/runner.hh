@@ -149,27 +149,6 @@ struct RunResult
 };
 
 /**
- * Run @p workloads (one per core) under @p cfg. If the System raises
- * SimError (auditor, watchdog, deadlock, invariant check), a repro
- * bundle is written next to the working directory (or to $SL_REPRO_PATH)
- * before the error is rethrown.
- */
-RunResult runWorkloads(const RunConfig& cfg,
-                       const std::vector<std::string>& workloads);
-
-/**
- * Like runWorkloads but never writes repro bundles: SimError propagates
- * without touching the bundle file. This is what BatchRunner calls from
- * worker threads, where concurrent failing jobs would race on the bundle
- * file; the batch layer captures formatReproBundle() per job instead.
- * (Telemetry output files, when cfg.telemetry configures them, ARE
- * written here on success — BatchRunner rewrites the paths per job so
- * parallel jobs never share one.)
- */
-RunResult runWorkloadsRaw(const RunConfig& cfg,
-                          const std::vector<std::string>& workloads);
-
-/**
  * Per-invocation orchestration for one run. Deliberately NOT part of
  * RunConfig: the snapshot config digest is computed over the RunConfig
  * (+ workloads), and where a run saves/restores snapshots must not
@@ -194,7 +173,8 @@ struct RunHooks
     std::function<void()> awaitRestore;
     /** Abort with SimError("job_timeout") after this much wall clock
      *  (0 = unlimited); timeoutSnapshotPath, when set, captures the hung
-     *  run's state first so it can be resumed for postmortem. */
+     *  run's state first so it can be resumed for postmortem. BatchRunner
+     *  sets both from BatchOptions::jobTimeoutSec. */
     double wallTimeoutSec = 0;
     std::string timeoutSnapshotPath;
     /**
@@ -203,23 +183,36 @@ struct RunHooks
      * snapshot restore, so a checkpoint taken before the window serves
      * any interval cut from it — which is exactly why these live in
      * RunHooks and not RunConfig: they must not perturb the snapshot
-     * config digest.
+     * config digest. A window also fences the L2 stats at warmup end:
+     * CoreResult misses/useful/issued report window deltas instead of
+     * run totals, and the batch JSON gains eval_instructions,
+     * eval_cycles and l2_* fields.
      */
     std::uint64_t measureWarmupRecords = 0;
     std::uint64_t measureEvalRecords = 0;
-    /** Fence L2 stats at warmup end: CoreResult misses/useful/issued
-     *  report measurement-window deltas instead of run totals, and the
-     *  batch JSON gains eval_instructions/eval_cycles/l2_* fields. */
-    bool statFence = false;
+
+    bool
+    windowed() const
+    {
+        return measureWarmupRecords != 0 || measureEvalRecords != 0;
+    }
 };
 
-/** runWorkloadsRaw with snapshot/timeout orchestration attached. */
-RunResult runWorkloadsRaw(const RunConfig& cfg,
-                          const std::vector<std::string>& workloads,
-                          const RunHooks& hooks);
+/**
+ * Run @p workloads (one per core) under @p cfg, with @p hooks attached.
+ * The one call that runs a System from a RunConfig. It writes no repro
+ * bundle: a SimError propagates to the caller, and each front end
+ * (sl_run's runnerMain, the benches' runBatch) writes the bundle of a
+ * failed job. Telemetry output files, when cfg.telemetry configures
+ * them, are written on success (BatchRunner rewrites the paths per job
+ * so parallel jobs never share one).
+ */
+RunResult runWorkloads(const RunConfig& cfg,
+                       const std::vector<std::string>& workloads,
+                       const RunHooks& hooks = {});
 
 /**
- * The SystemConfig runWorkloadsRaw builds for @p cfg, exposed so other
+ * The SystemConfig runWorkloads builds for @p cfg, exposed so other
  * drivers (the sampled checkpoint generator) construct bit-identical
  * Systems. @p cfg must outlive the System: the prefetcher factories
  * capture PrefetcherTuning pointers into it.
@@ -227,37 +220,33 @@ RunResult runWorkloadsRaw(const RunConfig& cfg,
 SystemConfig systemConfigFor(const RunConfig& cfg);
 
 /**
- * The config-identity string stored in snapshot files: toJson(cfg) plus
- * the workload list. Save and restore invocations must agree on it
- * (same prefetchers, geometry, scale, seed, workloads) or the restore is
- * rejected — restoring into a differently-built System would reinterpret
- * the payload as garbage.
+ * The config-identity string stored in snapshot files: toJson(cfg), every
+ * prefetcher tuning field (StreamlineConfig, TriangelConfig,
+ * TriageConfig) and the workload list. Save and restore invocations must
+ * agree on it (same prefetchers and tuning, geometry, scale, seed,
+ * workloads) or the restore is rejected — restoring into a
+ * differently-built System would reinterpret the payload as garbage.
  */
 std::string snapshotDigest(const RunConfig& cfg,
                            const std::vector<std::string>& workloads);
 
 /**
  * The text serialized on a tripped run: everything needed to replay it
- * bit-identically (seed, workloads, trace scale, prefetcher selection,
- * fault config) plus the error's component/cycle/diagnostics. Exposed
- * separately so tests can assert on the content without filesystem I/O.
+ * bit-identically (seed, workloads, trace scale, prefetcher selection
+ * and tuning, fault config) plus the error's component/cycle/diagnostics.
+ * Exposed separately so tests can assert on the content without
+ * filesystem I/O.
  */
 std::string formatReproBundle(const RunConfig& cfg,
                               const std::vector<std::string>& workloads,
                               const SimError& err);
 
-/** Where runWorkloads writes the bundle ($SL_REPRO_PATH or default). */
+/** Where a front end writes a failed run's bundle ($SL_REPRO_PATH or
+ *  sl_repro_bundle.txt). */
 std::string reproBundlePath();
 
 /** Single-core convenience wrapper. */
 RunResult runWorkload(const RunConfig& cfg, const std::string& workload);
-
-/**
- * The paper's irregular subset (§V-A3): workloads with >= 5% speedup
- * headroom under an idealised Triage with unlimited metadata. Memoised
- * per trace scale.
- */
-std::vector<std::string> irregularSubset(double scale = -1.0);
 
 /** Geomean speedup of @p variant over @p baseline, matched by workload. */
 double speedupOver(const std::vector<double>& baseline_ipc,
@@ -265,9 +254,12 @@ double speedupOver(const std::vector<double>& baseline_ipc,
 
 /**
  * Command-line front end behind the `sl_run` binary: parses prefetcher /
- * geometry / telemetry flags, runs the workloads, and prints per-core
- * results plus a telemetry summary. Returns a process exit code (0 ok,
- * 2 usage error). Exposed as a function so tests can drive it.
+ * geometry / telemetry flags, runs the workloads through BatchRunner
+ * (plain and --sweep) or runSampled (--sample), and prints per-core
+ * results plus a telemetry summary. Returns a process exit code: 0 ok,
+ * 1 a failed run, whose repro bundle is written to reproBundlePath()
+ * and named on stderr, 2 usage error. Exposed as a function so tests
+ * can drive it.
  */
 int runnerMain(int argc, char** argv);
 

@@ -339,12 +339,6 @@ writeSnapshotFile(const std::string& path, const std::string& configDigest,
     h.payloadBytes = payload.size();
     h.digestBytes = configDigest.size();
 
-    // Fault injection flips payload bits AFTER the CRC is computed, so a
-    // corrupted file is exactly what the restore-side integrity check
-    // exists to catch (the --fault-campaign snapshot_corrupt case).
-    if (FaultInjector* f = sys.faultInjector())
-        f->corruptSnapshotBytes(payload.data(), payload.size());
-
     std::ofstream out(path, std::ios::binary | std::ios::trunc);
     SL_CHECK(out.good(), "snapshot",
              "cannot open '" << path << "' for writing");

@@ -57,9 +57,6 @@ Cycle restoreSystemState(System& sys, const std::uint8_t* payload,
 
 /**
  * Write a complete snapshot file: header + @p configDigest + payload.
- * When the system has a fault injector with snapshotCorruptRate > 0,
- * payload bytes may be flipped AFTER the CRC is computed -- the restore
- * side's integrity check is what the fault campaign exercises.
  * Throws SimError when the file cannot be written.
  */
 void writeSnapshotFile(const std::string& path,

@@ -484,42 +484,25 @@ TEST(ReproBundle, FormatContainsEverythingNeededToReplay)
     cfg.seed = 77;
     cfg.l2 = "streamline";
     cfg.faults.loseRequestRate = 1.0;
+    cfg.streamline.maxDegree = 1;
+    cfg.streamline.enableAlignment = false;
+    cfg.triangel.maxWays = 2;
+    cfg.triage.unlimited = true;
     const SimError err("progress_watchdog", 123456, "stuck",
                        "[progress_watchdog @123456] stuck");
     const std::string b = formatReproBundle(cfg, {"gap_bfs"}, err);
     EXPECT_NE(b.find("seed = 77"), std::string::npos);
     EXPECT_NE(b.find("workloads = gap_bfs"), std::string::npos);
     EXPECT_NE(b.find("l2_prefetcher = streamline"), std::string::npos);
+    // Prefetcher tuning is part of the run (Fig 10f/12-15 sweep it).
+    EXPECT_NE(b.find("streamline.max_degree = 1"), std::string::npos) << b;
+    EXPECT_NE(b.find("streamline.enable_alignment = 0"), std::string::npos);
+    EXPECT_NE(b.find("triangel.max_ways = 2"), std::string::npos);
+    EXPECT_NE(b.find("triage.unlimited = 1"), std::string::npos);
     EXPECT_NE(b.find("fault.lose_request_rate = 1"), std::string::npos);
     EXPECT_NE(b.find("error.component = progress_watchdog"),
               std::string::npos);
     EXPECT_NE(b.find("error.cycle = 123456"), std::string::npos);
-}
-
-TEST(ReproBundle, WrittenWhenARunTrips)
-{
-    clearTraceCache();
-    const test::ScratchDir dir;
-    const std::string path = dir.file("repro_bundle.txt");
-    ::setenv("SL_REPRO_PATH", path.c_str(), 1);
-
-    RunConfig cfg;
-    cfg.traceScale = kTinyScale;
-    cfg.faults.loseRequestRate = 1.0;
-    cfg.hardening.watchdogWindow = 50'000;
-    cfg.hardening.auditInterval = 0;
-    EXPECT_THROW(runWorkload(cfg, "spec06_libquantum"), SimError);
-
-    std::ifstream in(path);
-    ASSERT_TRUE(in.good()) << "repro bundle was not written";
-    std::stringstream ss;
-    ss << in.rdbuf();
-    const std::string bundle = ss.str();
-    EXPECT_NE(bundle.find("seed = "), std::string::npos);
-    EXPECT_NE(bundle.find("spec06_libquantum"), std::string::npos);
-    EXPECT_NE(bundle.find("fault.lose_request_rate = 1"),
-              std::string::npos);
-    ::unsetenv("SL_REPRO_PATH");
 }
 
 /**
@@ -547,6 +530,38 @@ bundleOfFailedSlRun(std::vector<std::string> args)
     std::stringstream ss;
     ss << in.rdbuf();
     return ss.str();
+}
+
+TEST(ReproBundle, WrittenWhenARunTrips)
+{
+    // Every request lost: the plain run deadlocks at once, and sl_run
+    // leaves the bundle of the one job it ran.
+    clearTraceCache();
+    const std::string bundle = bundleOfFailedSlRun(
+        {"sl_run", "--scale", "0.05", "--fault-lose-request", "1",
+         "spec06_libquantum"});
+    EXPECT_NE(bundle.find("seed = "), std::string::npos) << bundle;
+    EXPECT_NE(bundle.find("workloads = spec06_libquantum"),
+              std::string::npos);
+    EXPECT_NE(bundle.find("fault.lose_request_rate = 1"),
+              std::string::npos);
+    EXPECT_NE(bundle.find("error.component = "), std::string::npos);
+}
+
+TEST(ReproBundle, WrittenWhenASweepJobFails)
+{
+    // The failing job comes back in its JobResult rather than as an
+    // exception; sl_run must still write that job's bundle.
+    clearTraceCache();
+    const std::string bundle = bundleOfFailedSlRun(
+        {"sl_run", "--sweep", "--scale", "0.05", "--fault-lose-request",
+         "1", "spec06_libquantum"});
+    EXPECT_NE(bundle.find("workloads = spec06_libquantum"),
+              std::string::npos)
+        << bundle;
+    EXPECT_NE(bundle.find("fault.lose_request_rate = 1"),
+              std::string::npos);
+    EXPECT_NE(bundle.find("error.component = "), std::string::npos);
 }
 
 TEST(ReproBundle, WrittenWhenASampledRunFails)

@@ -267,7 +267,7 @@ TEST(SamplingCheckpoint, StaleFormatVersionIsRegenerated)
               1u);
     RunHooks restore;
     restore.restorePath = path;
-    EXPECT_GT(runWorkloadsRaw(cfg, {"spec06_mcf"}, restore).cores[0].ipc,
+    EXPECT_GT(runWorkloads(cfg, {"spec06_mcf"}, restore).cores[0].ipc,
               0.0);
 }
 
@@ -377,7 +377,7 @@ TEST(SamplingRun, ResumedSweepIsByteIdentical)
     opts.intervals = 12;
     opts.k = 6;
     opts.checkpointDir = dir.path();
-    opts.manifestPath = manifest;
+    opts.batch.manifestPath = manifest;
     opts.threads = 2;
 
     const SampledReport full = runSampled(cfg, "gap_bfs", opts);

@@ -129,18 +129,18 @@ TEST(SchedulerSnapshot, MidStormRoundTripIsBitIdentical)
     cfg.l2 = "streamline";
     const std::vector<std::string> w{"gap_bfs"};
 
-    const RunResult plain = runWorkloadsRaw(cfg, w);
+    const RunResult plain = runWorkloads(cfg, w);
 
     RunHooks save;
     save.snapshotAt = 100'000;
     save.snapshotPath = path;
-    const RunResult saved = runWorkloadsRaw(cfg, w, save);
+    const RunResult saved = runWorkloads(cfg, w, save);
     // Saving mid-run must not perturb the run that continues past it.
     expectIdenticalResults(plain, saved);
 
     RunHooks restore;
     restore.restorePath = path;
-    const RunResult resumed = runWorkloadsRaw(cfg, w, restore);
+    const RunResult resumed = runWorkloads(cfg, w, restore);
     expectIdenticalResults(plain, resumed);
 }
 

@@ -14,6 +14,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <string>
 #include <vector>
@@ -228,7 +230,7 @@ TEST(SnapshotFile, SaveRestoreRoundTripIsBitIdentical)
     const RunConfig cfg = smallConfig();
     const std::vector<std::string> w{"spec06_mcf"};
 
-    const RunResult plain = runWorkloadsRaw(cfg, w);
+    const RunResult plain = runWorkloads(cfg, w);
 
     // The second save point catches a read parked in the DRAM channel
     // queue, so the queue section carries a live request.
@@ -238,13 +240,13 @@ TEST(SnapshotFile, SaveRestoreRoundTripIsBitIdentical)
         RunHooks save;
         save.snapshotAt = at;
         save.snapshotPath = path;
-        const RunResult saved = runWorkloadsRaw(cfg, w, save);
+        const RunResult saved = runWorkloads(cfg, w, save);
         // Saving mid-run must not perturb the run that continues past it.
         expectIdenticalResults(plain, saved);
 
         RunHooks restore;
         restore.restorePath = path;
-        const RunResult resumed = runWorkloadsRaw(cfg, w, restore);
+        const RunResult resumed = runWorkloads(cfg, w, restore);
         expectIdenticalResults(plain, resumed);
     }
 }
@@ -267,17 +269,17 @@ TEST(SnapshotFile, MultiCoreSharedMemoryRoundTrip)
     cfg.cores = 2;
     const std::vector<std::string> w{"spec06_mcf", "gap_bfs"};
 
-    const RunResult plain = runWorkloadsRaw(cfg, w);
+    const RunResult plain = runWorkloads(cfg, w);
 
     RunHooks save;
     save.snapshotAt = 50'000;
     save.snapshotPath = path;
-    const RunResult saved = runWorkloadsRaw(cfg, w, save);
+    const RunResult saved = runWorkloads(cfg, w, save);
     expectIdenticalResults(plain, saved);
 
     RunHooks restore;
     restore.restorePath = path;
-    const RunResult resumed = runWorkloadsRaw(cfg, w, restore);
+    const RunResult resumed = runWorkloads(cfg, w, restore);
     expectIdenticalResults(plain, resumed);
 
     // The run must actually have exercised both requestors' DRAM
@@ -292,7 +294,7 @@ TEST(SnapshotFile, MissingFileThrows)
     RunHooks restore;
     const test::ScratchDir dir;
     restore.restorePath = dir.file("does_not_exist.bin");
-    EXPECT_THROW(runWorkloadsRaw(smallConfig(), {"spec06_mcf"}, restore),
+    EXPECT_THROW(runWorkloads(smallConfig(), {"spec06_mcf"}, restore),
                  SimError);
 }
 
@@ -305,7 +307,7 @@ class SnapshotRejection : public ::testing::Test
         RunHooks save;
         save.snapshotAt = 20'000;
         save.snapshotPath = path_;
-        runWorkloadsRaw(smallConfig(), {"spec06_mcf"}, save);
+        runWorkloads(smallConfig(), {"spec06_mcf"}, save);
     }
 
     /** Restore under the matching config and return the SimError text. */
@@ -315,7 +317,7 @@ class SnapshotRejection : public ::testing::Test
         RunHooks restore;
         restore.restorePath = path_;
         try {
-            runWorkloadsRaw(cfg, {"spec06_mcf"}, restore);
+            runWorkloads(cfg, {"spec06_mcf"}, restore);
         } catch (const SimError& e) {
             EXPECT_EQ(e.component(), "snapshot");
             return e.what();
@@ -366,6 +368,11 @@ TEST_F(SnapshotRejection, ConfigMismatchRejected)
     // differently, so the config digest must veto the restore.
     EXPECT_NE(restoreError(smallConfig("triage")).find("config"),
               std::string::npos);
+    // Same prefetcher, different tuning: a differently-built store.
+    RunConfig tuned = smallConfig();
+    tuned.streamline.maxDegree = 1;
+    tuned.streamline.enableAlignment = false;
+    EXPECT_NE(restoreError(tuned).find("config"), std::string::npos);
 }
 
 TEST(SnapshotDigest, CoversConfigAndWorkloads)
@@ -377,6 +384,14 @@ TEST(SnapshotDigest, CoversConfigAndWorkloads)
               snapshotDigest(cfg, {"gap_bfs"}));
     EXPECT_NE(snapshotDigest(smallConfig("streamline"), {"spec06_mcf"}),
               snapshotDigest(smallConfig("triage"), {"spec06_mcf"}));
+    // Each tuning struct is covered, whichever prefetcher is selected.
+    RunConfig sl = cfg, tg = cfg, ta = cfg;
+    sl.streamline.streamLength = 8;
+    tg.triangel.maxDegree = 2;
+    ta.triage.unlimited = true;
+    for (const RunConfig& tuned : {sl, tg, ta})
+        EXPECT_NE(snapshotDigest(cfg, {"spec06_mcf"}),
+                  snapshotDigest(tuned, {"spec06_mcf"}));
 }
 
 // ---------- sweep manifest ----------
@@ -400,6 +415,9 @@ TEST(SweepManifest, JobDigestIsStableAndDiscriminating)
     EXPECT_NE(jobDigest(a), jobDigest(spec("b", "spec06_mcf")));
     EXPECT_NE(jobDigest(a), jobDigest(spec("a", "gap_bfs")));
     EXPECT_NE(jobDigest(a), jobDigest(spec("a", "spec06_mcf", "triage")));
+    ExperimentSpec tuned = a;
+    tuned.config.streamline.maxDegree = 1;
+    EXPECT_NE(jobDigest(a), jobDigest(tuned));
 }
 
 TEST(SweepManifest, ResumeSkipsFinishedJobsAndReplaysJson)
@@ -492,9 +510,36 @@ TEST(JobTimeout, OverBudgetJobFailsAndLeavesResumableSnapshot)
     probe.close();
     RunHooks restore;
     restore.restorePath = hang;
-    const RunResult done = runWorkloadsRaw(s.config, s.workloads, restore);
+    const RunResult done = runWorkloads(s.config, s.workloads, restore);
     ASSERT_EQ(done.cores.size(), 1u);
     EXPECT_GT(done.cores[0].ipc, 0.0);
+}
+
+TEST(JobTimeout, SlRunSnapshotsTheHungJobInPlainAndSweepMode)
+{
+    // sl_run writes hang snapshots to the working directory.
+    const test::ScratchDir dir;
+    const std::filesystem::path home = std::filesystem::current_path();
+    std::filesystem::current_path(dir.path());
+    ::setenv("SL_REPRO_PATH", dir.file("bundle.txt").c_str(), 1);
+    for (const bool sweep : {false, true}) {
+        SCOPED_TRACE(sweep ? "sweep" : "plain");
+        std::filesystem::remove(dir.file("sl_snapshot_hang_job0.bin"));
+        std::vector<std::string> args{"sl_run", "--scale", "0.5",
+                                      "--job-timeout", "0.02"};
+        if (sweep)
+            args.push_back("--sweep");
+        args.push_back("spec06_mcf");
+        std::vector<char*> argv;
+        for (auto& a : args)
+            argv.push_back(a.data());
+        EXPECT_EQ(runnerMain(static_cast<int>(argv.size()), argv.data()),
+                  1);
+        EXPECT_TRUE(snapshotFileIsCurrent(
+            dir.file("sl_snapshot_hang_job0.bin")));
+    }
+    ::unsetenv("SL_REPRO_PATH");
+    std::filesystem::current_path(home);
 }
 
 } // namespace
